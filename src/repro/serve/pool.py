@@ -27,7 +27,6 @@ count-based key remains available as the ``placement="count"`` ablation
 from __future__ import annotations
 
 import os
-from collections import deque
 from typing import TYPE_CHECKING, Collection, Optional, Sequence, Union
 
 from ..core.nodes import NODE_BYTES
@@ -37,6 +36,7 @@ from ..gpu.device import GPUDevice, GPUDeviceConfig
 from ..gpu.specs import GPUSpec
 from ..runtime.devices import device_for
 from .capability import capability_probe_ms, capability_score, restore_ms_per_byte
+from .queue import DeviceQueue, ResidentSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import Ticket, TenantSession
@@ -72,6 +72,7 @@ class PooledDevice:
         "device_id",
         "device",
         "queue",
+        "residents",
         "session_count",
         "draining",
         "probe_ms",
@@ -89,7 +90,10 @@ class PooledDevice:
     ) -> None:
         self.device_id = device_id
         self.device = device
-        self.queue: deque["Ticket"] = deque()
+        self.queue = DeviceQueue()
+        #: Open sessions placed here, in the server's open order
+        #: (maintained by the server and the failover supervisor).
+        self.residents = ResidentSet()
         self.session_count = 0
         #: Set by the rebalancer when this device is being evacuated
         #: (repeated faults): placement avoids draining devices and the

@@ -33,6 +33,15 @@ Two drain disciplines share that machinery (``CuLiServer(scheduler=)``):
   after its own dispatch resolves, regardless of what the rest of the
   fleet is doing.
 
+Both disciplines read and mutate the device queues only through
+:class:`~repro.serve.queue.DeviceQueue`, which keeps per-session FIFOs,
+an EDF heap of admitted session heads and per-session queued counts up
+to date as tickets come and go. The async former and the
+:class:`Rebalancer` read those indexes instead of rescanning the queue,
+so their host cost per decision is logarithmic in the backlog; the
+lockstep former still walks the queue's ordered view, because it is
+the oracle.
+
 Per-tenant transcripts are byte-identical across the two disciplines
 (property-pinned): async reorders *across* sessions only; each
 session's commands still execute in submission order against the same
@@ -181,35 +190,32 @@ class Scheduler:
         batch-fatal failure) always run alone."""
         batch: list["Ticket"] = []
         sessions_in_batch: set[str] = set()
-        deferred: list["Ticket"] = []
         queue = pdev.queue
         cmdbuf = getattr(pdev.device, "cmdbuf", None)
         capacity = cmdbuf.capacity if cmdbuf is not None else None
         payload = 0
-        while queue and len(batch) < self.max_batch:
-            ticket = queue.popleft()
+        for ticket in queue:
+            if len(batch) >= self.max_batch:
+                break
             if ticket.quarantined:
-                if batch:
-                    # A quarantined ticket never shares a batch: leave it
-                    # at the head for the next (solo) pass.
-                    queue.appendleft(ticket)
-                else:
+                # A quarantined ticket never shares a batch: it stays at
+                # the head for the next (solo) pass.
+                if not batch:
                     batch.append(ticket)
                 break
             sid = ticket.session.session_id
             if sid in sessions_in_batch:
-                deferred.append(ticket)
-                continue
+                continue  # one ticket per session per batch
             size = self.payload_size(ticket.text)
             if capacity is not None and batch and payload + size > capacity:
-                queue.appendleft(ticket)  # full: keep for the next batch
-                break
+                break  # full: the rest waits for the next batch
             sessions_in_batch.add(sid)
             payload += size
             batch.append(ticket)
-        # Deferred tickets go back to the *front*, preserving FIFO order.
-        for ticket in reversed(deferred):
-            queue.appendleft(ticket)
+        # Every chosen ticket is its session's first in queue order, and
+        # the tickets passed over keep their places.
+        for ticket in batch:
+            queue.take(ticket)
         return batch
 
     def form_batch_async(self, pdev: "PooledDevice") -> list["Ticket"]:
@@ -243,49 +249,53 @@ class Scheduler:
         arrivals the EDF key degenerates to submission order, so this
         forms byte-identical batches to the lockstep walk — the
         degenerate-case anchor for the oracle property.
+
+        Nothing here rescans the queue. The device's
+        :class:`~repro.serve.queue.DeviceQueue` keeps the heads indexed:
+        ``admit`` moves every head that arrived by the horizon from an
+        arrival-ordered frontier into one EDF heap (rebuilding the index
+        exactly if a failed dispatch left the horizon behind an earlier
+        jump), ``pop_admitted`` yields them in EDF order, heads passed
+        over go back with ``readmit``, and ``take`` dequeues the batch
+        and exposes each session's next ticket. A call costs O(log n)
+        per head it touches, not O(n) in the backlog (DESIGN.md,
+        "Indexed device queues").
         """
         queue = pdev.queue
         if not queue:
             return []
-        heads: list["Ticket"] = []
-        seen: set[str] = set()
-        for ticket in queue:
-            sid = ticket.session.session_id
-            if sid in seen:
-                continue
-            seen.add(sid)
-            heads.append(ticket)
-        horizon = self.pipeline(pdev.device_id).horizon_ms
-        earliest = min(t.arrival_ms for t in heads)
-        horizon = max(horizon, earliest)
-        admissible = [t for t in heads if t.arrival_ms <= horizon]
-        admissible.sort(key=lambda t: (t.deadline_ms, t.arrival_ms, t.seq))
-
+        queue.admit(self.pipeline(pdev.device_id).horizon_ms)
         cmdbuf = getattr(pdev.device, "cmdbuf", None)
         capacity = cmdbuf.capacity if cmdbuf is not None else None
         batch: list["Ticket"] = []
+        passed: list["Ticket"] = []
         payload = 0
         has_deadline = False
-        for ticket in admissible:
+        while len(batch) < self.max_batch:
+            ticket = queue.pop_admitted()
+            if ticket is None:
+                break
             if ticket.quarantined:
-                if not batch:
+                if batch:
+                    passed.append(ticket)
+                else:
                     batch.append(ticket)  # solo quarantine batch
                 break
             if ticket.session.bulk and has_deadline:
+                passed.append(ticket)
                 continue  # chunks wait for a deadline-free batch
             size = self.payload_size(ticket.text)
             if capacity is not None and batch and payload + size > capacity:
+                passed.append(ticket)
                 break
             payload += size
             batch.append(ticket)
             if ticket.deadline_ms != float("inf"):
                 has_deadline = True
-            if len(batch) >= self.max_batch:
-                break
-        chosen = set(map(id, batch))
-        remaining = [t for t in queue if id(t) not in chosen]
-        queue.clear()
-        queue.extend(remaining)
+        for ticket in passed:
+            queue.readmit(ticket)
+        for ticket in batch:
+            queue.take(ticket)
         return batch
 
     # -- dispatch -----------------------------------------------------------------
@@ -730,7 +740,7 @@ class Rebalancer:
                 continue
             pdev.draining = True
             stats.record_device_drained(pdev.device_id)
-            for session in self._sessions_on(pdev):
+            for session in self.server.sessions_on(pdev.device_id):
                 moves.append(self.server.migrate_session(session))
         return moves
 
@@ -756,7 +766,7 @@ class Rebalancer:
                 cold.queue_depth + 1
             ):
                 break
-            session = self._pick_session(hot, target_tickets=max(1, gap // 2))
+            session = hot.queue.pick_session(max(1, gap // 2))
             if session is None:
                 break
             moves.append(self.server.migrate_session(session, cold.device_id))
@@ -813,12 +823,10 @@ class Rebalancer:
             ):
                 break
             target = max(1, int(gap_ms / (e_hot + e_cold)))
-            session = self._pick_session(hot, target_tickets=target)
+            session = hot.queue.pick_session(target)
             if session is None:
                 break
-            moved_q = sum(
-                1 for t in hot.queue if t.session is session
-            )
+            moved_q = hot.queue.count(session)
             # Wire estimate: the hot device's session-retained heap,
             # apportioned per resident session (the snapshot's real size
             # is only known after serialization — this prices the
@@ -956,33 +964,11 @@ class Rebalancer:
         """The session leveling moves off the hot device: prefer one
         with nothing queued — its migration moves only the heap
         snapshot, never reorders pending work."""
-        residents = self._sessions_on(hot)
+        residents = self.server.sessions_on(hot.device_id)
         if not residents:
             return None
-        queued = {t.session for t in hot.queue}
-        idle = [s for s in residents if s not in queued]
-        return (idle or residents)[0]
-
-    def _sessions_on(self, pdev: "PooledDevice") -> list["TenantSession"]:
-        return [
-            s
-            for s in list(self.server.sessions.values())
-            if s.device_id == pdev.device_id
-        ]
-
-    @staticmethod
-    def _pick_session(
-        pdev: "PooledDevice", target_tickets: int
-    ) -> Optional["TenantSession"]:
-        """The session whose queued-ticket count comes closest to the
-        transfer target without exceeding it (falling back to the
-        lightest session when every candidate overshoots)."""
-        counts: dict["TenantSession", int] = {}
-        for ticket in pdev.queue:
-            counts[ticket.session] = counts.get(ticket.session, 0) + 1
-        if not counts:
-            return None
-        fitting = [s for s, n in counts.items() if n <= target_tickets]
-        if fitting:
-            return max(fitting, key=lambda s: counts[s])
-        return min(counts, key=lambda s: counts[s])
+        count = hot.queue.count
+        for session in residents:
+            if not count(session):
+                return session
+        return residents[0]

@@ -20,7 +20,6 @@ and a :class:`~repro.serve.stats.ServerStats` surface. Usage::
 from __future__ import annotations
 
 import os
-from collections import deque
 from itertools import count
 from typing import Optional, Sequence
 
@@ -152,6 +151,9 @@ class CuLiServer:
             )
         self.sessions: dict[str, TenantSession] = {}
         self._session_counter = count()
+        #: Source of ``TenantSession.open_rank``: a session's position in
+        #: ``sessions`` order, which the per-device resident index keeps.
+        self._open_ranks = count()
         # Bulk collection jobs (gpu-map PR): internal per-device
         # sessions that carry sharded chunk requests, created lazily on
         # first use and owned by the server (closed with it).
@@ -217,7 +219,7 @@ class CuLiServer:
             pdev.session_count += 1
         env = pdev.device.create_session_env(label=session_id)
         session = TenantSession(self, session_id, pdev.device_id, env, slo_ms=slo_ms)
-        self.sessions[session_id] = session
+        self._add_session(session)
         if self.supervisor is not None:
             self.supervisor.track_session(session)
         return session
@@ -231,33 +233,58 @@ class CuLiServer:
         Cancellations are recorded in ``ServerStats`` so the
         enqueued/completed/cancelled accounting stays balanced.
         """
-        if self.sessions.pop(session.session_id, None) is None:
+        if not self.drop_session(session):
             return
         if self.supervisor is not None:
             self.supervisor.forget_session(session)
         pdev = self.pool[session.device_id]
-        remaining = deque()
-        cancelled = 0
-        for ticket in pdev.queue:
-            if ticket.session is session:
-                err = RuntimeError(
-                    f"session {session.session_id} closed before execution"
-                )
-                # Cancellations never join the history (the tenant is
-                # gone) nor the latency reservoir (nobody was waiting).
-                ticket.resolve(
-                    CommandStats(output=f"error: {err}"),
-                    err,
-                    record_history=False,
-                )
-                cancelled += 1
-            else:
-                remaining.append(ticket)
-        pdev.queue = remaining
+        cancelled = pdev.queue.remove_session(session)
+        for ticket in cancelled:
+            err = RuntimeError(
+                f"session {session.session_id} closed before execution"
+            )
+            # Cancellations never join the history (the tenant is gone)
+            # nor the latency reservoir (nobody was waiting).
+            ticket.resolve(
+                CommandStats(output=f"error: {err}"),
+                err,
+                record_history=False,
+            )
         if cancelled:
-            self.stats.record_cancelled(cancelled)
+            self.stats.record_cancelled(len(cancelled))
         pdev.device.release_session_env(session.env)
         self.pool.session_closed(session.device_id)
+
+    # -- the per-device resident index --------------------------------------------
+
+    def _add_session(self, session: TenantSession) -> None:
+        session.open_rank = next(self._open_ranks)
+        self.sessions[session.session_id] = session
+        self.pool[session.device_id].residents.add(session)
+
+    def drop_session(self, session: TenantSession) -> bool:
+        """Unregister an open session (close, or unrecoverable after a
+        device loss); False if it was not registered here."""
+        if self.sessions.get(session.session_id) is not session:
+            return False
+        del self.sessions[session.session_id]
+        pdev = self.pool.devices.get(session.device_id)
+        if pdev is not None:
+            pdev.residents.discard(session)
+        return True
+
+    def relocate_session(self, session: TenantSession, device_id: str) -> None:
+        """Re-home ``session`` on ``device_id`` (migration, failover)."""
+        old = self.pool.devices.get(session.device_id)
+        if old is not None:
+            old.residents.discard(session)
+        session.device_id = device_id
+        self.pool[device_id].residents.add(session)
+
+    def sessions_on(self, device_id: str) -> list[TenantSession]:
+        """Open sessions placed on ``device_id``, in open order."""
+        pdev = self.pool.devices.get(device_id)
+        return pdev.residents.sessions() if pdev is not None else []
 
     # -- migration (elastic rebalancing) ------------------------------------------
 
@@ -312,12 +339,7 @@ class CuLiServer:
         except Exception:
             self.pool.session_closed(target.device_id)
             raise
-        moved = [t for t in source.queue if t.session is session]
-        if moved:
-            source.queue = deque(
-                t for t in source.queue if t.session is not session
-            )
-            target.queue.extend(moved)
+        target.queue.extend(source.queue.remove_session(session))
         # Source-side teardown: drop the root and reclaim the migrated
         # heap now (host-orchestrated maintenance, uncharged — see
         # DESIGN.md deviation #9) so the arena's space is free for the
@@ -326,7 +348,7 @@ class CuLiServer:
         source.device.interp.collect_garbage()
         self.pool.session_closed(source.device_id)
         session.env = new_env
-        session.device_id = target.device_id
+        self.relocate_session(session, target.device_id)
         source_ms = link_ms(source, snap.nbytes)
         dest_ms = link_ms(target, snap.nbytes)
         record = MigrationRecord(
@@ -412,7 +434,7 @@ class CuLiServer:
                     self.pool.session_closed(pdev.device_id)
                     raise
                 session = TenantSession(self, session_id, pdev.device_id, env)
-                self.sessions[session_id] = session
+                self._add_session(session)
                 restored[session_id] = session
                 if self.supervisor is not None:
                     self.supervisor.track_session(session)

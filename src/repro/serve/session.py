@@ -144,6 +144,9 @@ class TenantSession:
         #: of any batch holding a deadline-bearing ticket — chunk kernel
         #: time must never inflate an SLO tenant's latency.
         self.bulk = False
+        #: Position in the server's open order (set when the server
+        #: registers the session); orders the per-device resident index.
+        self.open_rank = 0
         self.history: list[CommandStats] = []
         #: Unresolved tickets (admission control: the server refuses new
         #: submissions past ``max_session_queue``). Maintained by

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.serve import CuLiServer
 from repro.serve.pool import DevicePool
+from repro.serve.session import Ticket
 
 
 class TestConstruction:
@@ -84,13 +86,19 @@ class TestPlacement:
 
 class TestQueues:
     def test_enqueue_and_depths(self):
-        pool = DevicePool(["gtx480"])
-        assert pool.pending == 0
-        pool.enqueue("gtx480#0", object())
-        pool.enqueue("gtx480#0", object())
-        assert pool.queue_depths() == {"gtx480#0": 2}
-        assert pool.pending == 2
-        pool.close()
+        # The queue indexes tickets by session, so it takes real tickets
+        # of an open session.
+        with CuLiServer(devices=["gtx480"]) as server:
+            pool = server.pool
+            session = server.open_session()
+            assert pool.pending == 0
+            first = Ticket(session, "1")
+            second = Ticket(session, "2")
+            pool.enqueue("gtx480#0", first)
+            pool.enqueue("gtx480#0", second)
+            assert pool.queue_depths() == {"gtx480#0": 2}
+            assert pool.pending == 2
+            assert list(pool["gtx480#0"].queue) == [first, second]
 
 
 class TestLifecycle:
