@@ -43,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .pool import PooledDevice
     from .server import CuLiServer
     from .session import TenantSession, Ticket
+    from .stats import ServerStats
 
 __all__ = ["BulkChunk", "BulkJob", "split_list_text"]
 
@@ -156,7 +157,7 @@ class BulkJob:
 
     def __init__(
         self, job_id: int, fn_text: str, n_elements: int,
-        chunks: list[BulkChunk], stats=None,
+        chunks: list[BulkChunk], stats: "ServerStats",
     ) -> None:
         self.job_id = job_id
         self.fn_text = fn_text
@@ -193,9 +194,10 @@ class BulkJob:
             raise RuntimeError(
                 "bulk job not finished: call server.flush() first"
             )
-        if self._stats is not None and not self._gather_recorded:
+        if not self._gather_recorded:
             self._gather_recorded = True
-            self._stats.record_bulk_gathered(errors=len(self.errors))
+            self._stats.bulk_jobs_gathered += 1
+            self._stats.bulk_chunk_errors += len(self.errors)
         for chunk in self.chunks:
             if chunk.ticket.error is not None:
                 raise EvalError(
@@ -279,7 +281,7 @@ def shard_bulk_job(
         if not texts:
             break  # the single empty chunk is enough
     job = BulkJob(job_id, fn_text, len(texts), chunks, stats=server.stats)
-    server.stats.record_bulk_submitted(
-        chunks=len(chunks), elements=len(texts)
-    )
+    server.stats.bulk_jobs += 1
+    server.stats.bulk_chunks += len(chunks)
+    server.stats.bulk_elements += len(texts)
     return job

@@ -301,8 +301,7 @@ class Scheduler:
     # -- dispatch -----------------------------------------------------------------
 
     def dispatch(
-        self, pdev: "PooledDevice", batch: list["Ticket"],
-        stats: Optional["ServerStats"] = None,
+        self, pdev: "PooledDevice", batch: list["Ticket"], stats: "ServerStats"
     ) -> Optional[BatchResult]:
         """Execute one batch on one device and resolve its tickets.
 
@@ -343,7 +342,7 @@ class Scheduler:
                 # The device is gone, batch and resident arenas with it:
                 # the supervisor force-resets it and rebuilds the victim
                 # sessions from their checkpoints on surviving devices.
-                supervisor.on_device_loss(pdev, batch, exc, stats)
+                supervisor.on_device_loss(pdev, batch, exc)
                 return None
             # Without a supervisor a loss degrades to the batch-fatal
             # quarantine path (the device object survives in simulation,
@@ -370,10 +369,8 @@ class Scheduler:
                 replayed += 1
             if supervisor is not None:
                 supervisor.note_completed(ticket)
-        if stats is not None:
-            stats.record_batch(pdev.device_id, result)
-            if replayed:
-                stats.record_replayed(replayed)
+        stats.record_batch(pdev.device_id, result)
+        stats.requests_replayed += replayed
         return result
 
     def _handle_fatal_batch(
@@ -381,7 +378,7 @@ class Scheduler:
         pdev: "PooledDevice",
         batch: list["Ticket"],
         exc: Exception,
-        stats: Optional["ServerStats"],
+        stats: "ServerStats",
     ) -> None:
         """Quarantine policy for a batch the device aborted wholesale.
 
@@ -403,24 +400,19 @@ class Scheduler:
         batch-fatal abort — the documented trade for never losing or
         wedging tickets (DESIGN.md deviation #8).
         """
-        if stats is not None:
-            stats.record_batch_fatal(pdev.device_id)
+        stats.record_batch_fatal(pdev.device_id)
         retried = [t for t in batch if len(batch) > 1 and not t.quarantined]
         poisoned = [t for t in batch if t not in retried]
         for ticket in poisoned:
             ticket.resolve(CommandStats(output=f"error: {exc}"), exc)
-        if stats is not None and poisoned:
-            stats.record_poisoned(pdev.device_id, len(poisoned))
+        stats.record_poisoned(pdev.device_id, len(poisoned))
         for ticket in reversed(retried):
             ticket.quarantined = True
             pdev.queue.appendleft(ticket)
-        if stats is not None and retried:
-            stats.record_quarantined(len(retried))
+        stats.quarantine_retries += len(retried)
 
     def drain(
-        self,
-        stats: Optional["ServerStats"] = None,
-        rebalancer: Optional["Rebalancer"] = None,
+        self, stats: "ServerStats", rebalancer: Optional["Rebalancer"] = None
     ) -> int:
         """Serve every queued request; returns the number of batches run.
 
@@ -439,9 +431,7 @@ class Scheduler:
 
     @staticmethod
     def _stamp_latencies(
-        batch: list["Ticket"],
-        resolve_ms: float,
-        stats: Optional["ServerStats"],
+        batch: list["Ticket"], resolve_ms: float, stats: "ServerStats"
     ) -> None:
         """Stamp every newly-resolved ticket of ``batch`` with its
         virtual resolve time and record enqueue->resolve latency.
@@ -457,15 +447,13 @@ class Scheduler:
         for ticket in batch:
             if ticket.done and ticket.resolve_ms is None:
                 ticket.resolve_ms = resolve_ms
-                if stats is not None and not ticket.replay:
-                    stats.record_latency(
+                if not ticket.replay:
+                    stats.latency.record(
                         max(0.0, resolve_ms - ticket.arrival_ms)
                     )
 
     def _drain_lockstep(
-        self,
-        stats: Optional["ServerStats"],
-        rebalancer: Optional["Rebalancer"],
+        self, stats: "ServerStats", rebalancer: Optional["Rebalancer"]
     ) -> int:
         """The original global drain rounds.
 
@@ -517,15 +505,13 @@ class Scheduler:
             for batch in round_batches:
                 self._stamp_latencies(batch, round_end, stats)
             if rebalancer is not None:
-                rebalancer.after_round(stats)
+                rebalancer.after_round()
             if self.supervisor is not None:
-                self.supervisor.after_round(stats)
+                self.supervisor.after_round()
         return batches
 
     def _drain_async(
-        self,
-        stats: Optional["ServerStats"],
-        rebalancer: Optional["Rebalancer"],
+        self, stats: "ServerStats", rebalancer: Optional["Rebalancer"]
     ) -> int:
         """Continuous batching: per-device pipelines, no fleet barrier.
 
@@ -587,10 +573,10 @@ class Scheduler:
             # lifecycle, checkpoints, uptime — on the device's own
             # safe-point round clock.
             if rebalancer is not None:
-                rebalancer.at_safe_point(stats)
+                rebalancer.at_safe_point()
             if self.supervisor is not None:
                 for pdev in list(self.pool.devices.values()):
-                    self.supervisor.at_safe_point(pdev, stats)
+                    self.supervisor.at_safe_point(pdev)
         self.clock_ms = max(self.clock_ms, self.now_ms)
         return batches
 
@@ -677,16 +663,14 @@ class Rebalancer:
         and forgives the faults recorded so far."""
         pdev = self.server.pool[device_id]
         pdev.draining = False
-        dstats = self.server.stats.per_device.get(device_id)
-        self._fault_marks[device_id] = dstats.faults if dstats else 0
+        dstats = self.server.stats.per_device[device_id]
+        self._fault_marks[device_id] = dstats.faults
 
     # -- the between-rounds hook --------------------------------------------------
 
-    def after_round(
-        self, stats: Optional["ServerStats"] = None
-    ) -> list["MigrationRecord"]:
+    def after_round(self) -> list["MigrationRecord"]:
         """Run the policies once; returns the migrations performed."""
-        moves = self._drain_faulty(stats)
+        moves = self._drain_faulty()
         moves.extend(self._shed_overload())
         if len(moves) < self.max_moves_per_round:
             moves.extend(
@@ -694,9 +678,7 @@ class Rebalancer:
             )
         return moves
 
-    def at_safe_point(
-        self, stats: Optional["ServerStats"] = None
-    ) -> list["MigrationRecord"]:
+    def at_safe_point(self) -> list["MigrationRecord"]:
         """The rebalancing hook re-anchored for the async scheduler.
 
         Under lockstep the policies ran at the global round barrier; the
@@ -710,27 +692,22 @@ class Rebalancer:
         produced them (per-device pipeline clocks differ only in
         *virtual* time, which the gap gates never read).
         """
-        return self.after_round(stats)
+        return self.after_round()
 
     # -- fault drain ---------------------------------------------------------------
 
-    def _drain_faulty(
-        self, stats: Optional["ServerStats"]
-    ) -> list["MigrationRecord"]:
-        if stats is None:
-            return []
+    def _drain_faulty(self) -> list["MigrationRecord"]:
+        per_device = self.server.stats.per_device
         pool = self.server.pool
         moves: list["MigrationRecord"] = []
         for pdev in pool.devices.values():
             if pdev.draining:
                 continue
-            dstats = stats.per_device.get(pdev.device_id)
-            if dstats is None:
-                continue
+            faults = per_device[pdev.device_id].faults
             mark = self._fault_marks.get(pdev.device_id, 0)
-            if dstats.faults - mark < self.fault_threshold:
+            if faults - mark < self.fault_threshold:
                 continue
-            self._fault_marks[pdev.device_id] = dstats.faults
+            self._fault_marks[pdev.device_id] = faults
             # Nowhere to evacuate to if every other device is draining.
             if all(
                 other.draining
@@ -739,7 +716,7 @@ class Rebalancer:
             ):
                 continue
             pdev.draining = True
-            stats.record_device_drained(pdev.device_id)
+            self.server.stats.devices_drained += 1
             for session in self.server.sessions_on(pdev.device_id):
                 moves.append(self.server.migrate_session(session))
         return moves

@@ -143,8 +143,8 @@ class CuLiServer:
         self.max_session_queue = max_session_queue
         self.scheduler = Scheduler(self.pool, max_batch=max_batch, mode=scheduler)
         self.stats = ServerStats()
-        self.stats._queue_depth_fn = self.pool.queue_depths
-        self.stats._scheduler_fn = self.scheduler.pipeline_snapshot
+        self.stats.queue_depths = self.pool.queue_depths
+        self.stats.scheduler_state = self.scheduler.pipeline_snapshot
         for device_id, pdev in self.pool.devices.items():
             self.stats.register_device(
                 device_id, pdev.name, pdev.kind, capability_ms=pdev.probe_ms
@@ -250,8 +250,7 @@ class CuLiServer:
                 err,
                 record_history=False,
             )
-        if cancelled:
-            self.stats.record_cancelled(len(cancelled))
+        self.stats.requests_cancelled += len(cancelled)
         pdev.device.release_session_env(session.env)
         self.pool.session_closed(session.device_id)
 
@@ -442,7 +441,7 @@ class CuLiServer:
             for session in restored.values():
                 session.close()
             raise
-        self.stats.record_restored(len(restored))
+        self.stats.sessions_restored += len(restored)
         return restored
 
     # -- request flow -------------------------------------------------------------
@@ -466,7 +465,7 @@ class CuLiServer:
         if self._closed:
             raise RuntimeError("server is closed")
         if session.pending >= self.max_session_queue:
-            self.stats.record_rejected()
+            self.stats.requests_rejected += 1
             raise AdmissionError(
                 f"session {session.session_id} has {session.pending} "
                 f"unresolved requests (cap {self.max_session_queue}): "
@@ -476,7 +475,7 @@ class CuLiServer:
             arrival_ms = self.scheduler.now_ms
         ticket = Ticket(session, text, arrival_ms=arrival_ms)
         self.pool.enqueue(session.device_id, ticket)
-        self.stats.record_enqueue()
+        self.stats.requests_enqueued += 1
         return ticket
 
     # -- bulk collection jobs (host-sharded gpu-map) -------------------------------
@@ -564,9 +563,6 @@ class CuLiServer:
     @property
     def pending(self) -> int:
         return self.pool.pending
-
-    def queue_depths(self) -> dict[str, int]:
-        return self.pool.queue_depths()
 
     # -- lifecycle ----------------------------------------------------------------
 

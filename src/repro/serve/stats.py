@@ -9,15 +9,22 @@ utilization is measured against that makespan.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 from ..timing import PhaseBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.batch import BatchResult
 
-__all__ = ["DeviceStats", "LatencyReservoir", "MigrationRecord", "ServerStats"]
+__all__ = [
+    "COUNTERS",
+    "Counter",
+    "DeviceStats",
+    "LatencyReservoir",
+    "MigrationRecord",
+    "ServerStats",
+]
 
 
 class LatencyReservoir:
@@ -88,7 +95,6 @@ class DeviceStats:
     busy_ms: float = 0.0     #: simulated time spent executing batches
     batches: int = 0
     requests: int = 0
-    errors: int = 0
     jobs: int = 0            #: worker jobs (service + nested ``|||``)
     rounds: int = 0          #: shared distribution rounds
     faults: int = 0          #: device faults (contained + batch-fatal)
@@ -109,6 +115,18 @@ class DeviceStats:
             return 1.0
         return self.rounds_up / self.rounds_total
 
+    def snapshot(self, utilization: float) -> dict:
+        """The device's ``ServerStats.snapshot()["devices"]`` entry: every
+        field but the id and the raw uptime tallies, then the ratios."""
+        entry = {
+            key: value
+            for key, value in vars(self).items()
+            if key not in ("device_id", "rounds_total", "rounds_up")
+        }
+        entry["uptime"] = self.uptime
+        entry["utilization"] = utilization
+        return entry
+
 
 @dataclass
 class MigrationRecord:
@@ -122,125 +140,152 @@ class MigrationRecord:
     transfer_ms: float       #: modeled host<->device time (both links)
 
 
-class ServerStats:
-    """The server-wide metrics surface (wired into CommandStats/PhaseBreakdown).
+class Counter(NamedTuple):
+    """One cumulative server counter (a row of :data:`COUNTERS`)."""
 
-    ``phase_totals`` merges every batch's :class:`PhaseBreakdown`, so the
-    per-phase latency decomposition the paper reports for one command is
-    available for the whole serving run; ``throughput_rps`` is requests
-    per simulated second of makespan.
-    """
+    group: str               #: ``snapshot()`` group it is reported under
+    key: str                 #: its key within that group
+    attr: str                #: the ``ServerStats`` attribute holding it
+    zero: Union[int, float]  #: its initial value (and JSON type)
+    help: str                #: what it counts
+
+
+#: Every cumulative server counter, declared once: ``ServerStats`` sets
+#: each ``attr`` to its ``zero`` and ``snapshot()`` reports it as
+#: ``snapshot()[group][key]``. An event that touches one counter
+#: increments the attribute where it happens; one that updates several
+#: counters, a device's totals or the phase totals has a ``record_*``.
+COUNTERS = tuple(Counter(*row) for row in (
+    # -- requests ------------------------------------------------------------
+    ("requests", "enqueued", "requests_enqueued", 0,
+     "tickets enqueued: tenant submissions and failover replays"),
+    ("requests", "completed", "requests_completed", 0,
+     "tickets served, with a result or a (poisoned) error"),
+    ("requests", "cancelled", "requests_cancelled", 0,
+     "queued tickets cancelled by a session close; every enqueued ticket ends up "
+     "completed, cancelled or still pending, never lost"),
+    ("requests", "rejected", "requests_rejected", 0,
+     "submissions refused by admission control (the per-tenant queue cap), never "
+     "enqueued"),
+    ("requests", "errors", "errors", 0,
+     "completed tickets that resolved with an error"),
+    # -- fault isolation -----------------------------------------------------
+    ("faults", "contained", "faults_contained", 0,
+     "device faults contained to their own request"),
+    ("faults", "batch_fatal", "faults_batch_fatal", 0,
+     "batch transactions aborted by a device-fatal error"),
+    ("faults", "quarantine_retries", "quarantine_retries", 0,
+     "tickets requeued for a solo retry after a batch-fatal abort"),
+    ("faults", "poisoned", "poisoned_requests", 0,
+     "tickets resolved with a batch-fatal error (poison requests)"),
+    # -- batches -------------------------------------------------------------
+    ("batches", "count", "batches", 0, "batches that completed"),
+    ("batches", "max_size", "batch_size_max", 0, "largest completed batch, in tickets"),
+    # -- garbage collection --------------------------------------------------
+    ("gc", "nodes_freed", "gc_nodes_freed", 0, "heap nodes reclaimed"),
+    ("gc", "regions_reset", "gc_regions_reset", 0, "nursery regions reset"),
+    ("gc", "major_collections", "gc_major_collections", 0, "full mark-sweep passes"),
+    ("gc", "wall_ms", "gc_wall_ms", 0.0,
+     "simulator wall time spent collecting (modeled: phase_totals.gc_ms)"),
+    # -- JIT trace tier ------------------------------------------------------
+    ("jit", "traces_compiled", "jit_traces_compiled", 0,
+     "cache-hot texts compiled to traces"),
+    ("jit", "trace_hits", "jit_trace_hits", 0, "forms executed as traces"),
+    ("jit", "guard_bails", "jit_guard_bails", 0,
+     "trace runs that bailed to the tree-walker on a stale guard"),
+    # -- bulk gpu-map jobs ---------------------------------------------------
+    ("bulk", "jobs", "bulk_jobs", 0, "jobs sharded across the fleet"),
+    ("bulk", "chunks", "bulk_chunks", 0, "chunk tickets the jobs fanned out to"),
+    ("bulk", "elements", "bulk_elements", 0, "list elements the chunks carried"),
+    ("bulk", "jobs_gathered", "bulk_jobs_gathered", 0,
+     "jobs gathered back in element order"),
+    ("bulk", "chunk_errors", "bulk_chunk_errors", 0,
+     "gathered chunks that resolved with a contained error"),
+    # -- elastic rebalancing -------------------------------------------------
+    ("rebalance", "migrations", "sessions_migrated", 0,
+     "session heaps moved between devices"),
+    ("rebalance", "nodes_moved", "migration_nodes", 0, "heap nodes the moves carried"),
+    ("rebalance", "bytes_moved", "migration_bytes", 0,
+     "snapshot wire bytes of the moves"),
+    ("rebalance", "transfer_ms", "migration_transfer_ms", 0.0,
+     "modeled transfer time of the moves (both links)"),
+    ("rebalance", "devices_drained", "devices_drained", 0,
+     "devices drained after repeated faults (sessions migrate off)"),
+    ("rebalance", "sessions_restored", "sessions_restored", 0,
+     "sessions rebuilt from a saved fleet snapshot (restart)"),
+    # -- failover ------------------------------------------------------------
+    ("failover", "devices_lost", "devices_lost", 0,
+     "devices that crashed or hung past the watchdog"),
+    ("failover", "device_hangs", "device_hangs", 0,
+     "the subset of losses that were hangs"),
+    ("failover", "sessions_recovered", "sessions_recovered", 0,
+     "victim sessions rebuilt from their checkpoints"),
+    ("failover", "requests_replayed", "requests_replayed", 0,
+     "replay tickets served (the suffix re-executed in recovery)"),
+    ("failover", "rpo_max_rounds", "rpo_rounds_max", 0,
+     "most suffix rounds replayed for one recovered session"),
+    ("failover", "checkpoints_shipped", "checkpoints_shipped", 0,
+     "session checkpoints shipped device->host"),
+    ("failover", "checkpoints_skipped", "checkpoints_skipped", 0,
+     "due checkpoints whose digest matched the stored one: the suffix log reset for "
+     "free"),
+    ("failover", "checkpoint_bytes", "checkpoint_bytes", 0,
+     "wire bytes of the shipped checkpoints"),
+    ("failover", "checkpoint_transfer_ms", "checkpoint_transfer_ms", 0.0,
+     "their modeled transfer time"),
+    ("failover", "restore_bytes", "failover_restore_bytes", 0,
+     "checkpoint bytes restored host->device"),
+    ("failover", "restore_transfer_ms", "failover_restore_ms", 0.0,
+     "their modeled transfer time"),
+    ("failover", "breaker_opens", "breaker_opens", 0,
+     "device circuit breakers tripped open"),
+    ("failover", "probes_sent", "probes_sent", 0,
+     "half-open probe batches sent to recovering devices"),
+    ("failover", "probes_ok", "probes_ok", 0,
+     "probes that succeeded (their breaker closed)"),
+    ("failover", "devices_evicted", "devices_evicted", 0,
+     "permanently flapping devices removed from the pool"),
+))
+
+
+class ServerStats:
+    """The server-wide metrics surface: every :data:`COUNTERS` attribute,
+    ``phase_totals`` (every batch's :class:`PhaseBreakdown` merged — the
+    paper's per-command phase split, for the whole serving run), the
+    latency reservoir, per-device totals and three live gauges."""
 
     def __init__(self) -> None:
-        self.requests_enqueued = 0
-        self.requests_completed = 0
-        self.requests_cancelled = 0  #: enqueued, then cancelled (session close)
-        self.errors = 0
-        self.batches = 0
-        # Fault-isolation counters: device faults contained per request,
-        # batch-fatal device failures, solo quarantine retries, and
-        # tickets resolved as poison after quarantine.
-        self.faults_contained = 0
-        self.faults_batch_fatal = 0
-        self.quarantine_retries = 0
-        self.poisoned_requests = 0
+        for counter in COUNTERS:
+            setattr(self, counter.attr, counter.zero)
+        # Accumulators behind the derived ``batches.mean_size`` and
+        # ``failover.rpo_mean_rounds`` entries.
         self.batch_size_sum = 0
-        self.batch_size_max = 0
-        self.phase_totals = PhaseBreakdown()
-        # GC work across every batch (generational-GC PR): nodes freed,
-        # nursery regions reset, full mark-sweep passes, and the wall
-        # time the simulator spent collecting. Modeled GC device time is
-        # in ``phase_totals.gc_ms``.
-        self.gc_nodes_freed = 0
-        self.gc_regions_reset = 0
-        self.gc_major_collections = 0
-        self.gc_wall_ms = 0.0
-        # JIT trace-tier counters (bytecode trace PR): cache-hot texts
-        # compiled, forms executed as traces, and trace executions that
-        # bailed to the tree-walker on a stale guard.
-        self.jit_traces_compiled = 0
-        self.jit_trace_hits = 0
-        self.jit_guard_bails = 0
-        # Elastic-rebalancing counters (heap snapshot / migration PR):
-        # sessions moved between devices, the heap volume they carried,
-        # the modeled transfer time charged for the moves, devices
-        # evacuated after repeated faults, and sessions restored from a
-        # saved fleet snapshot.
-        self.sessions_migrated = 0
-        self.migration_nodes = 0
-        self.migration_bytes = 0
-        self.migration_transfer_ms = 0.0
-        self.devices_drained = 0
-        self.sessions_restored = 0
-        # Failover counters (device-loss supervisor PR): whole-device
-        # losses, sessions failed over from their checkpoints, replayed
-        # suffix commands, and the recovery-point-objective actually
-        # observed (rounds of replay per recovered session).
-        self.devices_lost = 0
-        self.device_hangs = 0
-        self.sessions_recovered = 0
-        self.requests_replayed = 0
         self.rpo_rounds_sum = 0
-        self.rpo_rounds_max = 0
-        self.checkpoints_shipped = 0
-        self.checkpoints_skipped = 0
-        self.checkpoint_bytes = 0
-        self.checkpoint_transfer_ms = 0.0
-        self.failover_restore_bytes = 0
-        self.failover_restore_ms = 0.0
-        self.breaker_opens = 0
-        self.probes_sent = 0
-        self.probes_ok = 0
-        self.devices_evicted = 0
-        # Continuous-batching counters: enqueue->resolve latency samples
-        # and submissions refused by admission control (backpressure).
+        self.phase_totals = PhaseBreakdown()
+        #: Enqueue->resolve latency of every tenant request, recorded by
+        #: the scheduler when the ticket resolves (replay tickets and
+        #: close-time cancellations excluded — no tenant was waiting).
         self.latency = LatencyReservoir()
-        self.requests_rejected = 0
-        # Bulk collection counters (gpu-map PR): host-sharded jobs, the
-        # chunk tickets they fanned out to, the elements those carried,
-        # jobs gathered back, and chunks that resolved with a contained
-        # error (the job surfaces it; siblings were unaffected).
-        self.bulk_jobs = 0
-        self.bulk_chunks = 0
-        self.bulk_elements = 0
-        self.bulk_jobs_gathered = 0
-        self.bulk_chunk_errors = 0
         self.per_device: dict[str, DeviceStats] = {}
-        #: live queue-depth gauge, installed by the server
-        self._queue_depth_fn: Optional[Callable[[], dict[str, int]]] = None
-        #: live breaker-state gauge, installed by the supervisor
-        self._breaker_state_fn: Optional[Callable[[], dict[str, str]]] = None
-        #: live scheduler-timeline gauge (mode, virtual clock, per-device
-        #: pipeline completion/overlap), installed by the server
-        self._scheduler_fn: Optional[Callable[[], dict]] = None
+        #: Live gauges: the server installs the queue-depth and
+        #: scheduler-timeline ones, the supervisor the breaker states.
+        self.queue_depths: Callable[[], dict[str, int]] = dict
+        self.scheduler_state: Callable[[], dict] = dict
+        self.breaker_states: Callable[[], dict[str, str]] = dict
 
     # -- recording ----------------------------------------------------------------
 
     def register_device(
         self, device_id: str, name: str, kind: str, capability_ms: float = 0.0
     ) -> None:
-        self.per_device[device_id] = DeviceStats(
-            device_id, name, kind, capability_ms
-        )
-
-    def record_enqueue(self, n: int = 1) -> None:
-        self.requests_enqueued += n
-
-    def record_cancelled(self, n: int = 1) -> None:
-        """Queued tickets cancelled before execution (session close).
-
-        Balances the queue accounting: every enqueued request ends up
-        completed, cancelled, or still pending — never silently lost.
-        """
-        self.requests_cancelled += n
+        self.per_device[device_id] = DeviceStats(device_id, name, kind, capability_ms)
 
     def record_batch(self, device_id: str, result: "BatchResult") -> None:
         self.batches += 1
         self.batch_size_sum += result.size
         self.batch_size_max = max(self.batch_size_max, result.size)
         self.requests_completed += result.size
-        n_errors = len(result.errors)
-        self.errors += n_errors
+        self.errors += len(result.errors)
         n_faults = len(result.faults)
         self.faults_contained += n_faults
         self.phase_totals = self.phase_totals.merged_with(result.times)
@@ -255,47 +300,14 @@ class ServerStats:
         dstats.busy_ms += result.times.total_ms
         dstats.batches += 1
         dstats.requests += result.size
-        dstats.errors += n_errors
         dstats.jobs += result.jobs
         dstats.rounds += result.rounds
         dstats.faults += n_faults
-
-    def record_latency(self, latency_ms: float) -> None:
-        """One request's enqueue->resolve latency on the virtual clock.
-
-        Recorded by the scheduler when the ticket resolves: at its
-        batch's pipeline completion (async) or its round's barrier end
-        (lockstep). Replay tickets and close-time cancellations are
-        excluded — no tenant was waiting on them.
-        """
-        self.latency.record(latency_ms)
-
-    def record_rejected(self, n: int = 1) -> None:
-        """Submissions refused by admission control (per-tenant queue
-        cap): shed at the front door, never enqueued."""
-        self.requests_rejected += n
-
-    def record_bulk_submitted(self, chunks: int, elements: int) -> None:
-        """One bulk job sharded into ``chunks`` tickets carrying
-        ``elements`` list elements across the fleet."""
-        self.bulk_jobs += 1
-        self.bulk_chunks += chunks
-        self.bulk_elements += elements
-
-    def record_bulk_gathered(self, errors: int = 0) -> None:
-        """One bulk job's chunks gathered back in element order;
-        ``errors`` chunks resolved with a contained fault."""
-        self.bulk_jobs_gathered += 1
-        self.bulk_chunk_errors += errors
 
     def record_batch_fatal(self, device_id: str) -> None:
         """A whole batch transaction aborted on a device-fatal error."""
         self.faults_batch_fatal += 1
         self.per_device[device_id].faults += 1
-
-    def record_quarantined(self, n: int) -> None:
-        """Tickets requeued for solo retry after a batch-fatal failure."""
-        self.quarantine_retries += n
 
     def record_migration(
         self, record: MigrationRecord, source_ms: float, dest_ms: float
@@ -315,23 +327,12 @@ class ServerStats:
         self.phase_totals = self.phase_totals.merged_with(
             PhaseBreakdown(transfer_ms=record.transfer_ms)
         )
-        src = self.per_device.get(record.source)
-        if src is not None:
-            src.busy_ms += source_ms
-            src.migrations_out += 1
-        dst = self.per_device.get(record.dest)
-        if dst is not None:
-            dst.busy_ms += dest_ms
-            dst.migrations_in += 1
-
-    def record_device_drained(self, device_id: str) -> None:
-        """A device was marked draining (repeated faults): its sessions
-        migrate off and new placements avoid it."""
-        self.devices_drained += 1
-
-    def record_restored(self, n: int = 1) -> None:
-        """Sessions rebuilt from a saved fleet snapshot (server restart)."""
-        self.sessions_restored += n
+        src = self.per_device[record.source]
+        src.busy_ms += source_ms
+        src.migrations_out += 1
+        dst = self.per_device[record.dest]
+        dst.busy_ms += dest_ms
+        dst.migrations_in += 1
 
     def record_poisoned(self, device_id: str, n: int) -> None:
         """Tickets resolved with a batch-fatal error (poison requests).
@@ -342,10 +343,7 @@ class ServerStats:
         self.poisoned_requests += n
         self.requests_completed += n
         self.errors += n
-        dstats = self.per_device.get(device_id)
-        if dstats is not None:
-            dstats.requests += n
-            dstats.errors += n
+        self.per_device[device_id].requests += n
 
     # -- failover recording (device-loss supervisor) -------------------------------
 
@@ -359,23 +357,19 @@ class ServerStats:
         charged to the device like any busy time.
         """
         self.devices_lost += 1
+        dstats = self.per_device[device_id]
+        dstats.losses += 1
+        dstats.faults += 1
         if hang:
             self.device_hangs += 1
-        dstats = self.per_device.get(device_id)
-        if dstats is not None:
-            dstats.losses += 1
-            dstats.faults += 1
-            if hang:
-                dstats.hangs += 1
-            dstats.busy_ms += detect_ms
+            dstats.hangs += 1
+        dstats.busy_ms += detect_ms
         if detect_ms > 0.0:
             self.phase_totals = self.phase_totals.merged_with(
                 PhaseBreakdown(other_ms=detect_ms)
             )
 
-    def record_session_recovered(
-        self, dest_device_id: str, rpo_rounds: int, replayed: int
-    ) -> None:
+    def record_session_recovered(self, dest_device_id: str, rpo_rounds: int) -> None:
         """One victim session rebuilt from its checkpoint on a survivor.
 
         ``rpo_rounds`` is the recovery point actually observed: how many
@@ -386,13 +380,7 @@ class ServerStats:
         self.sessions_recovered += 1
         self.rpo_rounds_sum += rpo_rounds
         self.rpo_rounds_max = max(self.rpo_rounds_max, rpo_rounds)
-        dstats = self.per_device.get(dest_device_id)
-        if dstats is not None:
-            dstats.recoveries_in += 1
-
-    def record_replayed(self, n: int) -> None:
-        """Replay tickets served (suffix re-execution during recovery)."""
-        self.requests_replayed += n
+        self.per_device[dest_device_id].recoveries_in += 1
 
     def record_checkpoint(
         self, device_id: str, nbytes: int, transfer_ms: float
@@ -403,17 +391,7 @@ class ServerStats:
         self.checkpoints_shipped += 1
         self.checkpoint_bytes += nbytes
         self.checkpoint_transfer_ms += transfer_ms
-        self.phase_totals = self.phase_totals.merged_with(
-            PhaseBreakdown(transfer_ms=transfer_ms)
-        )
-        dstats = self.per_device.get(device_id)
-        if dstats is not None:
-            dstats.busy_ms += transfer_ms
-
-    def record_checkpoint_skipped(self) -> None:
-        """A due checkpoint whose digest matched the stored one: the
-        suffix log reset for free, nothing crossed the link."""
-        self.checkpoints_skipped += 1
+        self._charge_transfer(device_id, transfer_ms)
 
     def record_failover_restore(
         self, device_id: str, nbytes: int, transfer_ms: float
@@ -421,45 +399,19 @@ class ServerStats:
         """A checkpoint restored host->device during recovery."""
         self.failover_restore_bytes += nbytes
         self.failover_restore_ms += transfer_ms
+        self._charge_transfer(device_id, transfer_ms)
+
+    def _charge_transfer(self, device_id: str, transfer_ms: float) -> None:
         self.phase_totals = self.phase_totals.merged_with(
             PhaseBreakdown(transfer_ms=transfer_ms)
         )
-        dstats = self.per_device.get(device_id)
-        if dstats is not None:
-            dstats.busy_ms += transfer_ms
-
-    def record_breaker_open(self, device_id: str) -> None:
-        """A device's circuit breaker tripped open."""
-        self.breaker_opens += 1
-
-    def record_probe(self, device_id: str) -> None:
-        """A half-open probe batch was sent to a recovering device."""
-        self.probes_sent += 1
+        self.per_device[device_id].busy_ms += transfer_ms
 
     def record_probe_ok(self, device_id: str, busy_ms: float) -> None:
         """A probe succeeded (breaker closes): its round is real device
         time but no tenant request — only busy time is charged."""
         self.probes_ok += 1
-        dstats = self.per_device.get(device_id)
-        if dstats is not None:
-            dstats.busy_ms += busy_ms
-
-    def record_device_evicted(self, device_id: str) -> None:
-        """A permanently flapping device was removed from the pool."""
-        self.devices_evicted += 1
-
-    @property
-    def mean_rpo_rounds(self) -> float:
-        """Mean rounds replayed per recovered session (observed RPO)."""
-        if self.sessions_recovered == 0:
-            return 0.0
-        return self.rpo_rounds_sum / self.sessions_recovered
-
-    def breaker_states(self) -> dict[str, str]:
-        """Live per-device breaker state (empty without a supervisor)."""
-        if self._breaker_state_fn is None:
-            return {}
-        return self._breaker_state_fn()
+        self.per_device[device_id].busy_ms += busy_ms
 
     # -- derived quantities -------------------------------------------------------
 
@@ -471,9 +423,7 @@ class ServerStats:
     def simulated_makespan_ms(self) -> float:
         """Devices execute concurrently: the pool is done when the
         busiest device is done."""
-        if not self.per_device:
-            return 0.0
-        return max(d.busy_ms for d in self.per_device.values())
+        return max((d.busy_ms for d in self.per_device.values()), default=0.0)
 
     @property
     def throughput_rps(self) -> float:
@@ -508,183 +458,98 @@ class ServerStats:
         values = list(util.values())
         return max(values) - min(values)
 
-    def queue_depths(self) -> dict[str, int]:
-        """Live per-device queue depth (pending, not yet batched)."""
-        if self._queue_depth_fn is None:
-            return {}
-        return self._queue_depth_fn()
-
-    def scheduler_state(self) -> dict:
-        """Live scheduler timeline (empty without an installed gauge)."""
-        if self._scheduler_fn is None:
-            return {}
-        return self._scheduler_fn()
-
     # -- reporting ----------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """A plain-dict summary for logging/reporting."""
-        return {
-            "requests": {
-                "enqueued": self.requests_enqueued,
-                "completed": self.requests_completed,
-                "cancelled": self.requests_cancelled,
-                "rejected": self.requests_rejected,
-                "errors": self.errors,
-            },
-            "latency": self.latency.snapshot(),
-            "scheduler": self.scheduler_state(),
-            "faults": {
-                "contained": self.faults_contained,
-                "batch_fatal": self.faults_batch_fatal,
-                "quarantine_retries": self.quarantine_retries,
-                "poisoned": self.poisoned_requests,
-            },
-            "batches": {
-                "count": self.batches,
-                "mean_size": self.mean_batch_size,
-                "max_size": self.batch_size_max,
-            },
-            "throughput_rps": self.throughput_rps,
-            "makespan_ms": self.simulated_makespan_ms,
-            "fleet": {
-                "devices": len(self.per_device),
-                "utilization_spread": self.utilization_spread(),
-            },
-            "phases_ms": {
-                "parse": self.phase_totals.parse_ms,
-                "eval": self.phase_totals.eval_ms,
-                "print": self.phase_totals.print_ms,
-                "transfer": self.phase_totals.transfer_ms,
-                "overhead": self.phase_totals.other_ms + self.phase_totals.host_ms,
-                "gc": self.phase_totals.gc_ms,
-            },
-            "gc": {
-                "nodes_freed": self.gc_nodes_freed,
-                "regions_reset": self.gc_regions_reset,
-                "major_collections": self.gc_major_collections,
-                "simulated_ms": self.phase_totals.gc_ms,
-                "wall_ms": self.gc_wall_ms,
-            },
-            "jit": {
-                "traces_compiled": self.jit_traces_compiled,
-                "trace_hits": self.jit_trace_hits,
-                "guard_bails": self.jit_guard_bails,
-            },
-            "bulk": {
-                "jobs": self.bulk_jobs,
-                "chunks": self.bulk_chunks,
-                "elements": self.bulk_elements,
-                "jobs_gathered": self.bulk_jobs_gathered,
-                "chunk_errors": self.bulk_chunk_errors,
-            },
-            "rebalance": {
-                "migrations": self.sessions_migrated,
-                "nodes_moved": self.migration_nodes,
-                "bytes_moved": self.migration_bytes,
-                "transfer_ms": self.migration_transfer_ms,
-                "devices_drained": self.devices_drained,
-                "sessions_restored": self.sessions_restored,
-            },
-            "failover": {
-                "devices_lost": self.devices_lost,
-                "device_hangs": self.device_hangs,
-                "sessions_recovered": self.sessions_recovered,
-                "requests_replayed": self.requests_replayed,
-                "rpo_mean_rounds": self.mean_rpo_rounds,
-                "rpo_max_rounds": self.rpo_rounds_max,
-                "checkpoints_shipped": self.checkpoints_shipped,
-                "checkpoints_skipped": self.checkpoints_skipped,
-                "checkpoint_bytes": self.checkpoint_bytes,
-                "checkpoint_transfer_ms": self.checkpoint_transfer_ms,
-                "restore_bytes": self.failover_restore_bytes,
-                "restore_transfer_ms": self.failover_restore_ms,
-                "breaker_opens": self.breaker_opens,
-                "probes_sent": self.probes_sent,
-                "probes_ok": self.probes_ok,
-                "devices_evicted": self.devices_evicted,
-                "breaker_states": self.breaker_states(),
-            },
-            "devices": {
-                device_id: {
-                    "name": d.name,
-                    "kind": d.kind,
-                    "capability_ms": d.capability_ms,
-                    "busy_ms": d.busy_ms,
-                    "batches": d.batches,
-                    "requests": d.requests,
-                    "jobs": d.jobs,
-                    "rounds": d.rounds,
-                    "faults": d.faults,
-                    "migrations_in": d.migrations_in,
-                    "migrations_out": d.migrations_out,
-                    "losses": d.losses,
-                    "hangs": d.hangs,
-                    "recoveries_in": d.recoveries_in,
-                    "uptime": d.uptime,
-                    "utilization": self.utilization()[device_id],
-                }
-                for device_id, d in self.per_device.items()
-            },
-            "queue_depths": self.queue_depths(),
+        """A plain-dict summary for logging/reporting: every counter
+        under its :data:`COUNTERS` group, plus the derived entries."""
+        snap: dict = {}
+        for counter in COUNTERS:
+            snap.setdefault(counter.group, {})[counter.key] = getattr(
+                self, counter.attr
+            )
+        snap["batches"]["mean_size"] = self.mean_batch_size
+        snap["gc"]["simulated_ms"] = self.phase_totals.gc_ms
+        snap["failover"]["rpo_mean_rounds"] = (
+            self.rpo_rounds_sum / self.sessions_recovered
+            if self.sessions_recovered
+            else 0.0
+        )
+        snap["failover"]["breaker_states"] = self.breaker_states()
+        snap["latency"] = self.latency.snapshot()
+        snap["scheduler"] = self.scheduler_state()
+        snap["throughput_rps"] = self.throughput_rps
+        snap["makespan_ms"] = self.simulated_makespan_ms
+        snap["fleet"] = {
+            "devices": len(self.per_device),
+            "utilization_spread": self.utilization_spread(),
         }
+        phases = self.phase_totals
+        snap["phases_ms"] = {
+            "parse": phases.parse_ms,
+            "eval": phases.eval_ms,
+            "print": phases.print_ms,
+            "transfer": phases.transfer_ms,
+            "overhead": phases.other_ms + phases.host_ms,
+            "gc": phases.gc_ms,
+        }
+        utilization = self.utilization()
+        snap["devices"] = {
+            device_id: d.snapshot(utilization[device_id])
+            for device_id, d in self.per_device.items()
+        }
+        snap["queue_depths"] = self.queue_depths()
+        return snap
 
     def render(self) -> str:
         """A human-readable one-screen summary."""
         snap = self.snapshot()
+        req, lat, flt = snap["requests"], snap["latency"], snap["faults"]
+        bat, gc, jit = snap["batches"], snap["gc"], snap["jit"]
+        bulk, reb, fo = snap["bulk"], snap["rebalance"], snap["failover"]
         lines = [
-            f"requests: {snap['requests']['completed']}/{snap['requests']['enqueued']}"
-            f" completed, {snap['requests']['cancelled']} cancelled,"
-            f" {snap['requests']['rejected']} rejected,"
-            f" {snap['requests']['errors']} errors",
-            f"latency:  p50 {snap['latency']['p50_ms']:.3f} / "
-            f"p95 {snap['latency']['p95_ms']:.3f} / "
-            f"p99 {snap['latency']['p99_ms']:.3f} ms "
-            f"(mean {snap['latency']['mean_ms']:.3f}, "
-            f"max {snap['latency']['max_ms']:.3f}, "
-            f"n={snap['latency']['count']})",
-            f"faults:   {snap['faults']['contained']} contained, "
-            f"{snap['faults']['batch_fatal']} batch-fatal "
-            f"({snap['faults']['quarantine_retries']} quarantine retries, "
-            f"{snap['faults']['poisoned']} poisoned)",
-            f"batches:  {snap['batches']['count']}"
-            f" (mean {snap['batches']['mean_size']:.1f},"
-            f" max {snap['batches']['max_size']})",
+            f"requests: {req['completed']}/{req['enqueued']} completed, "
+            f"{req['cancelled']} cancelled, {req['rejected']} rejected, "
+            f"{req['errors']} errors",
+            f"latency:  p50 {lat['p50_ms']:.3f} / p95 {lat['p95_ms']:.3f} / "
+            f"p99 {lat['p99_ms']:.3f} ms (mean {lat['mean_ms']:.3f}, "
+            f"max {lat['max_ms']:.3f}, n={lat['count']})",
+            f"faults:   {flt['contained']} contained, "
+            f"{flt['batch_fatal']} batch-fatal "
+            f"({flt['quarantine_retries']} quarantine retries, "
+            f"{flt['poisoned']} poisoned)",
+            f"batches:  {bat['count']} (mean {bat['mean_size']:.1f}, "
+            f"max {bat['max_size']})",
             f"throughput: {snap['throughput_rps']:.1f} req/s simulated"
             f" over {snap['makespan_ms']:.3f} ms makespan "
             f"({snap['fleet']['devices']} devices, utilization spread "
             f"{snap['fleet']['utilization_spread'] * 100:.0f}%)",
-            f"gc:       {snap['gc']['nodes_freed']} nodes freed in "
-            f"{snap['gc']['regions_reset']} region resets + "
-            f"{snap['gc']['major_collections']} major collections "
-            f"({snap['gc']['simulated_ms']:.3f} ms simulated)",
-            f"jit:      {snap['jit']['traces_compiled']} traces compiled, "
-            f"{snap['jit']['trace_hits']} trace hits, "
-            f"{snap['jit']['guard_bails']} guard bails",
-            f"bulk:     {snap['bulk']['jobs']} jobs "
-            f"({snap['bulk']['chunks']} chunks, "
-            f"{snap['bulk']['elements']} elements), "
-            f"{snap['bulk']['jobs_gathered']} gathered, "
-            f"{snap['bulk']['chunk_errors']} chunk errors",
-            f"rebalance: {snap['rebalance']['migrations']} migrations "
-            f"({snap['rebalance']['nodes_moved']} nodes, "
-            f"{snap['rebalance']['transfer_ms']:.3f} ms transfer), "
-            f"{snap['rebalance']['devices_drained']} drained, "
-            f"{snap['rebalance']['sessions_restored']} restored",
-            f"failover: {snap['failover']['devices_lost']} losses "
-            f"({snap['failover']['device_hangs']} hangs), "
-            f"{snap['failover']['sessions_recovered']} sessions recovered, "
-            f"{snap['failover']['requests_replayed']} replayed "
-            f"(RPO mean {snap['failover']['rpo_mean_rounds']:.1f} / "
-            f"max {snap['failover']['rpo_max_rounds']} rounds); "
-            f"checkpoints {snap['failover']['checkpoints_shipped']} shipped + "
-            f"{snap['failover']['checkpoints_skipped']} skipped "
-            f"({snap['failover']['checkpoint_bytes']} B, "
-            f"{snap['failover']['checkpoint_transfer_ms']:.3f} ms); "
-            f"breaker {snap['failover']['breaker_opens']} opens, "
-            f"probes {snap['failover']['probes_ok']}/"
-            f"{snap['failover']['probes_sent']} ok, "
-            f"{snap['failover']['devices_evicted']} evicted",
+            f"gc:       {gc['nodes_freed']} nodes freed in "
+            f"{gc['regions_reset']} region resets + "
+            f"{gc['major_collections']} major collections "
+            f"({gc['simulated_ms']:.3f} ms simulated)",
+            f"jit:      {jit['traces_compiled']} traces compiled, "
+            f"{jit['trace_hits']} trace hits, {jit['guard_bails']} guard bails",
+            f"bulk:     {bulk['jobs']} jobs ({bulk['chunks']} chunks, "
+            f"{bulk['elements']} elements), {bulk['jobs_gathered']} gathered, "
+            f"{bulk['chunk_errors']} chunk errors",
+            f"rebalance: {reb['migrations']} migrations "
+            f"({reb['nodes_moved']} nodes, {reb['transfer_ms']:.3f} ms "
+            f"transfer), {reb['devices_drained']} drained, "
+            f"{reb['sessions_restored']} restored",
+            f"failover: {fo['devices_lost']} losses "
+            f"({fo['device_hangs']} hangs), "
+            f"{fo['sessions_recovered']} sessions recovered, "
+            f"{fo['requests_replayed']} replayed "
+            f"(RPO mean {fo['rpo_mean_rounds']:.1f} / "
+            f"max {fo['rpo_max_rounds']} rounds); "
+            f"checkpoints {fo['checkpoints_shipped']} shipped + "
+            f"{fo['checkpoints_skipped']} skipped "
+            f"({fo['checkpoint_bytes']} B, "
+            f"{fo['checkpoint_transfer_ms']:.3f} ms); "
+            f"breaker {fo['breaker_opens']} opens, "
+            f"probes {fo['probes_ok']}/{fo['probes_sent']} ok, "
+            f"{fo['devices_evicted']} evicted",
         ]
         sched = snap["scheduler"]
         if sched:
@@ -696,7 +561,6 @@ class ServerStats:
                 f"{sched['makespan_ms']:.3f} ms, "
                 f"transfer overlap {overlap:.3f} ms"
             )
-        breaker_states = snap["failover"]["breaker_states"]
         for device_id, d in snap["devices"].items():
             line = (
                 f"  {device_id} [{d['name']}/{d['kind']}]: {d['requests']} reqs in "
@@ -705,7 +569,7 @@ class ServerStats:
                 f"up {d['uptime'] * 100:.0f}%, "
                 f"cap {d['capability_ms']:.4f} ms/req"
             )
-            state = breaker_states.get(device_id)
+            state = fo["breaker_states"].get(device_id)
             if state is not None:
                 line += f", breaker {state}"
             lines.append(line)

@@ -65,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .pool import PooledDevice
     from .server import CuLiServer
     from .session import TenantSession
-    from .stats import ServerStats
 
 __all__ = [
     "CircuitBreaker",
@@ -204,7 +203,7 @@ class DeviceSupervisor:
         # and loss handling through us, the stats surface gains the live
         # breaker-state gauge.
         server.scheduler.supervisor = self
-        server.stats._breaker_state_fn = self.breaker_states
+        server.stats.breaker_states = self.breaker_states
 
     # -- breaker bookkeeping -------------------------------------------------------
 
@@ -312,7 +311,6 @@ class DeviceSupervisor:
         pdev: "PooledDevice",
         batch: list[Ticket],
         exc: Exception,
-        stats: Optional["ServerStats"] = None,
     ) -> None:
         """Fail every resident session over after ``pdev`` died.
 
@@ -324,28 +322,23 @@ class DeviceSupervisor:
         replayed suffix first, then the in-flight retry, then the queue.
         """
         device_id = pdev.device_id
-        hang = isinstance(exc, DeviceHangError)
         work_ran = bool(getattr(exc, "work_ran", True))
         if not pdev.device.lost:
             pdev.device.mark_lost(str(exc))
-        if stats is not None:
-            stats.record_device_lost(
-                device_id, hang=hang,
-                detect_ms=self.hang_detect_ms if hang else 0.0,
-            )
+        self._record_loss(device_id, exc)
         brk = self.breaker(device_id)
         was_open = brk.state != BREAKER_CLOSED
         state = brk.record_failure(self._round_for(device_id))
         if state == BREAKER_OPEN:
             pdev.draining = True  # placement avoids it until a probe passes
-            if not was_open and stats is not None:
-                stats.record_breaker_open(device_id)
+            if not was_open:
+                self.server.stats.breaker_opens += 1
         # Capture victims and work before the reset wipes the queue view.
         victims = self.server.sessions_on(device_id)
         queued = pdev.queue.clear()
         self.server.pool.revive(device_id)
         if brk.flapping:
-            self._maybe_evict(pdev, stats)
+            self._maybe_evict(pdev)
         # Per-ticket failover accounting on the in-flight batch: a
         # ticket that has already ridden through too many losses is the
         # common factor — resolve it poisoned instead of retrying again
@@ -354,7 +347,7 @@ class DeviceSupervisor:
         for ticket in batch:
             ticket.failovers += 1
             if ticket.failovers > self.max_ticket_failovers:
-                self._resolve_poisoned(ticket, exc, device_id, stats)
+                self._resolve_poisoned(ticket, exc, device_id)
             else:
                 if work_ran:
                     # The round executed before the device died, so any
@@ -379,8 +372,16 @@ class DeviceSupervisor:
                 inflight=by_session_inflight.get(session.session_id, []),
                 queued=by_session_queued.get(session.session_id, []),
                 cause=exc,
-                stats=stats,
             )
+
+    def _record_loss(self, device_id: str, exc: Exception) -> None:
+        """Count a device loss; a hang also charges the modeled time the
+        watchdog waited it out."""
+        hang = isinstance(exc, DeviceHangError)
+        self.server.stats.record_device_lost(
+            device_id, hang=hang,
+            detect_ms=self.hang_detect_ms if hang else 0.0,
+        )
 
     def kill_device(
         self, device_id: str, reason: str = "operator kill", hang: bool = False
@@ -392,7 +393,7 @@ class DeviceSupervisor:
         exc_type = DeviceHangError if hang else DeviceLostError
         exc = exc_type(f"device {device_id} lost: {reason}")
         exc.work_ran = False
-        self.on_device_loss(pdev, [], exc, self.server.stats)
+        self.on_device_loss(pdev, [], exc)
 
     # -- recovery ------------------------------------------------------------------
 
@@ -403,7 +404,6 @@ class DeviceSupervisor:
         inflight: list[Ticket],
         queued: list[Ticket],
         cause: Exception,
-        stats: Optional["ServerStats"],
     ) -> None:
         sid = session.session_id
         pool = self.server.pool
@@ -448,45 +448,39 @@ class DeviceSupervisor:
                 pool.session_closed(pdev.device_id)
                 tried.add(pdev.device_id)
         if target is None or env is None:
-            self._abandon_session(session, inflight + queued, cause, stats)
+            self._abandon_session(session, inflight + queued, cause)
             return
         session.env = env
         self.server.relocate_session(session, target.device_id)
         # Restoring the checkpoint moves its bytes host->device for real:
         # charge the wire like a migration's destination half.
+        stats = self.server.stats
         if snap is not None:
-            ms = link_ms(target, snap.nbytes)
-            if stats is not None:
-                stats.record_failover_restore(
-                    target.device_id, snap.nbytes, ms
-                )
+            stats.record_failover_restore(
+                target.device_id, snap.nbytes, link_ms(target, snap.nbytes)
+            )
         # Re-enqueue in recovery order: the replayed suffix rebuilds the
         # post-checkpoint state, then the lost round's retry, then the
         # untouched queue — per-session submission order holds end to end.
-        replayed = 0
         for text in suffix:
             ticket = Ticket(session, text)
             ticket.replay = True
             target.queue.append(ticket)
-            replayed += 1
-            if stats is not None:
-                stats.record_enqueue()
+        stats.requests_enqueued += len(suffix)
         for ticket in inflight:
             target.queue.append(ticket)
         for ticket in queued:
             target.queue.append(ticket)
         self.store.on_recovered(sid)
-        if stats is not None:
-            stats.record_session_recovered(
-                target.device_id, rpo_rounds=len(suffix), replayed=replayed
-            )
+        stats.record_session_recovered(
+            target.device_id, rpo_rounds=len(suffix)
+        )
 
     def _abandon_session(
         self,
         session: "TenantSession",
         tickets: list[Ticket],
         cause: Exception,
-        stats: Optional["ServerStats"],
     ) -> None:
         """Last-resort path: no device could hold the restored heap.
         Resolve every pending ticket with the loss (never silently drop
@@ -496,27 +490,20 @@ class DeviceSupervisor:
             f"device could restore its checkpoint after {cause}"
         )
         for ticket in tickets:
-            self._resolve_poisoned(ticket, err, session.device_id, stats)
+            self._resolve_poisoned(ticket, err, session.device_id)
         self.store.drop(session.session_id)
         self.server.drop_session(session)
         session._closed = True
 
     def _resolve_poisoned(
-        self,
-        ticket: Ticket,
-        exc: Exception,
-        device_id: str,
-        stats: Optional["ServerStats"],
+        self, ticket: Ticket, exc: Exception, device_id: str
     ) -> None:
         ticket.resolve(CommandStats(output=f"error: {exc}"), exc)
-        if stats is not None:
-            stats.record_poisoned(device_id, 1)
+        self.server.stats.record_poisoned(device_id, 1)
 
     # -- eviction ------------------------------------------------------------------
 
-    def _maybe_evict(
-        self, pdev: "PooledDevice", stats: Optional["ServerStats"]
-    ) -> None:
+    def _maybe_evict(self, pdev: "PooledDevice") -> None:
         """Remove a permanently flapping device from the pool — unless it
         is the last one, or tenants are (still) resident on it."""
         pool = self.server.pool
@@ -527,12 +514,11 @@ class DeviceSupervisor:
             return
         pool.evict(device_id)
         self.breakers.pop(device_id, None)
-        if stats is not None:
-            stats.record_device_evicted(device_id)
+        self.server.stats.devices_evicted += 1
 
-    # -- the between-rounds hook (called by the scheduler) -------------------------
+    # -- the between-rounds hooks (called by the scheduler) ------------------------
 
-    def after_round(self, stats: Optional["ServerStats"] = None) -> None:
+    def after_round(self) -> None:
         """Runs while no ticket is in flight: idle chaos, breaker
         lifecycle (cooldown ticks, half-open probes), interval
         checkpoints, and per-device uptime accounting."""
@@ -540,28 +526,13 @@ class DeviceSupervisor:
         pool = self.server.pool
         if self.chaos is not None:
             for pdev in list(pool.devices.values()):
-                if pdev.device.lost:
-                    continue
-                if self.chaos.draw_idle(pdev.device_id):
-                    pdev.device.mark_lost("chaos: idle kill between rounds")
-                    exc = DeviceLostError(
-                        f"device {pdev.device_id} lost: chaos idle kill"
-                    )
-                    exc.work_ran = False
-                    self.on_device_loss(pdev, [], exc, stats)
-        # Fold Rebalancer fault-drains into the breaker lifecycle: a
-        # drained device used to need a manual reset_device call to ever
-        # serve again; tripping its breaker gives it the same automated
-        # cooldown -> probe -> close road back every lost device gets.
-        fresh_trips: set = set()
-        for pdev in pool.devices.values():
-            if pdev.draining:
-                brk = self.breaker(pdev.device_id)
-                if brk.state == BREAKER_CLOSED:
-                    brk.trip()
-                    fresh_trips.add(pdev.device_id)
-                    if stats is not None:
-                        stats.record_breaker_open(pdev.device_id)
+                if not pdev.device.lost:
+                    self._idle_chaos(pdev, "chaos: idle kill between rounds")
+        fresh_trips = {
+            pdev.device_id
+            for pdev in pool.devices.values()
+            if self._trip_if_drained(pdev)
+        }
         for device_id, brk in list(self.breakers.items()):
             pdev = pool.devices.get(device_id)
             if pdev is None:
@@ -570,33 +541,14 @@ class DeviceSupervisor:
                 continue  # cooldown starts counting next round
             brk.tick()
             if brk.state == BREAKER_HALF_OPEN:
-                self._probe(pdev, brk, stats)
+                self._probe(pdev, brk)
         # Interval checkpoints (between rounds: no nursery open, every
         # session idle — the snapshot sees a consistent heap).
-        for session in list(self.server.sessions.values()):
-            if not self.store.due(session.session_id):
-                continue
-            pdev = pool.devices.get(session.device_id)
-            snap, shipped = self.store.checkpoint(session)
-            if stats is not None:
-                if shipped and pdev is not None:
-                    stats.record_checkpoint(
-                        pdev.device_id, snap.nbytes, link_ms(pdev, snap.nbytes)
-                    )
-                else:
-                    stats.record_checkpoint_skipped()
-        if stats is not None:
-            for device_id, pdev in pool.devices.items():
-                dstats = stats.per_device.get(device_id)
-                if dstats is None:
-                    continue
-                dstats.rounds_total += 1
-                if not pdev.draining and not pdev.device.lost:
-                    dstats.rounds_up += 1
+        self._checkpoint_due(list(self.server.sessions.values()))
+        for pdev in pool.devices.values():
+            self._tick_uptime(pdev)
 
-    def at_safe_point(
-        self, pdev: "PooledDevice", stats: Optional["ServerStats"] = None
-    ) -> None:
+    def at_safe_point(self, pdev: "PooledDevice") -> None:
         """Device-local slice of :meth:`after_round` for the async
         scheduler: runs right after ``pdev``'s own dispatch resolved, so
         *this* device is quiescent while the rest of the fleet keeps
@@ -617,21 +569,8 @@ class DeviceSupervisor:
             self.device_rounds.get(device_id, 0) + 1
         )
         if self.chaos is not None and not pdev.device.lost:
-            if self.chaos.draw_idle(device_id):
-                pdev.device.mark_lost("chaos: idle kill at safe point")
-                exc = DeviceLostError(
-                    f"device {device_id} lost: chaos idle kill"
-                )
-                exc.work_ran = False
-                self.on_device_loss(pdev, [], exc, stats)
-        fresh_trip = False
-        if pdev.draining:
-            brk = self.breaker(device_id)
-            if brk.state == BREAKER_CLOSED:
-                brk.trip()
-                fresh_trip = True
-                if stats is not None:
-                    stats.record_breaker_open(device_id)
+            self._idle_chaos(pdev, "chaos: idle kill at safe point")
+        fresh_trip = self._trip_if_drained(pdev)
         brk = self.breakers.get(device_id)
         if (
             brk is not None
@@ -640,39 +579,72 @@ class DeviceSupervisor:
         ):
             brk.tick()
             if brk.state == BREAKER_HALF_OPEN:
-                self._probe(pdev, brk, stats)
-        for session in self.server.sessions_on(device_id):
+                self._probe(pdev, brk)
+        self._checkpoint_due(self.server.sessions_on(device_id))
+        self._tick_uptime(pdev)
+
+    # -- per-device bookkeeping shared by both hooks -------------------------------
+
+    def _idle_chaos(self, pdev: "PooledDevice", reason: str) -> None:
+        """One seeded idle-kill draw for a live device nothing is running
+        on; a kill runs the full failover path with no batch in flight."""
+        if self.chaos.draw_idle(pdev.device_id):
+            pdev.device.mark_lost(reason)
+            exc = DeviceLostError(f"device {pdev.device_id} lost: chaos idle kill")
+            exc.work_ran = False
+            self.on_device_loss(pdev, [], exc)
+
+    def _trip_if_drained(self, pdev: "PooledDevice") -> bool:
+        """Fold a Rebalancer fault-drain into the breaker lifecycle: a
+        drained device used to need a manual ``reset_device`` call to
+        ever serve again; tripping its breaker gives it the same
+        automated cooldown -> probe -> close road back every lost device
+        gets. Returns whether the breaker tripped just now (its cooldown
+        starts counting at the next round)."""
+        if not pdev.draining:
+            return False
+        brk = self.breaker(pdev.device_id)
+        if brk.state != BREAKER_CLOSED:
+            return False
+        brk.trip()
+        self.server.stats.breaker_opens += 1
+        return True
+
+    def _checkpoint_due(self, sessions: list["TenantSession"]) -> None:
+        """Interval checkpoints for idle ``sessions`` that are due: each
+        ships over its device's link, or counts as skipped when its
+        digest matched the stored one."""
+        devices = self.server.pool.devices
+        stats = self.server.stats
+        for session in sessions:
             if not self.store.due(session.session_id):
                 continue
             snap, shipped = self.store.checkpoint(session)
-            if stats is not None:
-                if shipped:
-                    stats.record_checkpoint(
-                        device_id, snap.nbytes, link_ms(pdev, snap.nbytes)
-                    )
-                else:
-                    stats.record_checkpoint_skipped()
-        if stats is not None:
-            dstats = stats.per_device.get(device_id)
-            if dstats is not None:
-                dstats.rounds_total += 1
-                if not pdev.draining and not pdev.device.lost:
-                    dstats.rounds_up += 1
+            if shipped:
+                pdev = devices[session.device_id]
+                stats.record_checkpoint(
+                    pdev.device_id, snap.nbytes, link_ms(pdev, snap.nbytes)
+                )
+            else:
+                stats.checkpoints_skipped += 1
+
+    def _tick_uptime(self, pdev: "PooledDevice") -> None:
+        """One supervised round for ``pdev``; an up round if it serves."""
+        dstats = self.server.stats.per_device[pdev.device_id]
+        dstats.rounds_total += 1
+        if not pdev.draining and not pdev.device.lost:
+            dstats.rounds_up += 1
 
     # -- probes --------------------------------------------------------------------
 
-    def _probe(
-        self,
-        pdev: "PooledDevice",
-        brk: CircuitBreaker,
-        stats: Optional["ServerStats"],
-    ) -> None:
+    def _probe(self, pdev: "PooledDevice", brk: CircuitBreaker) -> None:
         """Half-open probe: one synthetic no-tenant batch decides whether
         the device returns to service or flaps back open."""
         device_id = pdev.device_id
-        if stats is not None:
-            stats.record_probe(device_id)
+        stats = self.server.stats
+        stats.probes_sent += 1
         request = BatchRequest(text=self.PROBE_TEXT, env=None, tag="__probe__")
+        lost = False
         try:
             result = self.submit(pdev, [request])
             ok = (
@@ -681,33 +653,20 @@ class DeviceSupervisor:
                 and result.items[0].stats.output == self.PROBE_ANSWER
             )
         except DeviceLostError as exc:
-            if stats is not None:
-                stats.record_device_lost(
-                    device_id,
-                    hang=isinstance(exc, DeviceHangError),
-                    detect_ms=self.hang_detect_ms
-                    if isinstance(exc, DeviceHangError)
-                    else 0.0,
-                )
-            brk.record_failure(self._round_for(device_id))  # flap
-            self.server.pool.revive(device_id)
-            if brk.flapping:
-                self._maybe_evict(pdev, stats)
-            return
+            self._record_loss(device_id, exc)
+            ok, lost = False, True
         except CuLiError:
-            brk.record_failure(self._round_for(device_id))
-            if brk.flapping:
-                self._maybe_evict(pdev, stats)
-            return
+            ok = False
         if not ok:
-            brk.record_failure(self._round_for(device_id))
+            brk.record_failure(self._round_for(device_id))  # a flap
+            if lost:
+                self.server.pool.revive(device_id)
             if brk.flapping:
-                self._maybe_evict(pdev, stats)
+                self._maybe_evict(pdev)
             return
         brk.on_probe_success()
         pdev.draining = False
-        if stats is not None:
-            stats.record_probe_ok(device_id, result.times.total_ms)
+        stats.record_probe_ok(device_id, result.times.total_ms)
         if self.server.rebalancer is not None:
             # Forgive the fault marks the Rebalancer counted: the probe
             # just demonstrated the device serves again, and stale marks

@@ -28,6 +28,7 @@ from repro.errors import CuLiError
 from repro.serve.queue import DeviceQueue
 from repro.serve.scheduler import Scheduler
 from repro.serve.session import TenantSession, Ticket
+from repro.serve.stats import ServerStats
 
 DEVICE = "dev#0"
 #: Short and long texts, so a small command buffer splits batches.
@@ -148,6 +149,8 @@ class Model:
         self.ref = deque()
         self.capacity = capacity
         self.scheduler = Scheduler(None, max_batch=max_batch, mode="async")
+        self.stats = ServerStats()
+        self.stats.register_device(DEVICE, "dev", "gpu")
         self.pipe = self.scheduler.pipeline(DEVICE)
         self.last_batch = []
 
@@ -204,7 +207,7 @@ class Model:
             return
         retried = [t for t in batch if len(batch) > 1 and not t.quarantined]
         self.scheduler._handle_fatal_batch(
-            self.pdev, batch, CuLiError("batch-fatal"), None
+            self.pdev, batch, CuLiError("batch-fatal"), self.stats
         )
         for ticket in reversed(retried):
             self.ref.appendleft(ticket)
