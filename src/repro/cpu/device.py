@@ -17,16 +17,11 @@ import numpy as np
 
 from ..context import CountingContext
 from ..core.interpreter import Interpreter, InterpreterOptions
-from ..errors import (
-    DeviceLostError,
-    DeviceShutdownError,
-    LispError,
-    is_containable_fault,
-)
+from ..errors import LispError, UnbalancedInputError
 from ..gpu.hostlink import parens_balanced, sanitize_input, unbalanced_error
 from ..gpu.memory import OutputBuffer, SourceBuffer
-from ..errors import UnbalancedInputError
-from ..ops import Op, Phase
+from ..ops import Phase
+from ..runtime.backend import HOST_LOOP_MS, DeviceBackend, contain_fault
 from ..runtime.batch import BatchItem, BatchRequest, BatchResult
 from ..runtime.fidelity import Fidelity
 from ..timing import CommandStats, PhaseBreakdown
@@ -38,8 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CPUDevice", "CPUDeviceConfig"]
 
-_HOST_LOOP_MS = 0.001
-
 
 @dataclass
 class CPUDeviceConfig:
@@ -47,10 +40,13 @@ class CPUDeviceConfig:
     interpreter: Optional[InterpreterOptions] = None
 
 
-class CPUDevice:
+class CPUDevice(DeviceBackend):
     """One CuLi instance running on a simulated multicore CPU."""
 
+    kind = "cpu"
+
     def __init__(self, spec: CPUSpec, config: Optional[CPUDeviceConfig] = None) -> None:
+        super().__init__()
         self.spec = spec
         self.config = config or CPUDeviceConfig()
         self.fidelity = self.config.fidelity
@@ -71,22 +67,11 @@ class CPUDevice:
         self.interp.file_service = InMemoryFileService(self.filesystem)
         self.master_ctx.set_phase(Phase.EVAL)
 
-        self.commands_executed = 0
-        self._closed = False
-        self._lost_reason: Optional[str] = None
-
     # -- accounting ---------------------------------------------------------------
 
     def master_cycles(self, phase: Phase) -> float:
         row = np.asarray(self.master_ctx.counts.rows[phase], dtype=np.float64)
         return float(self.spec.costs.vector @ row)
-
-    def _run_gc(self) -> tuple[int, float, int, int, float]:
-        """End-of-command reclamation charged as modeled device time;
-        see :func:`repro.core.gc.collect_with_accounting`."""
-        from ..core.gc import collect_with_accounting
-
-        return collect_with_accounting(self.interp, self.spec)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -95,47 +80,8 @@ class CPUDevice:
         """Process setup + env build + teardown (no CUDA context)."""
         return self.spec.setup_us / 1000.0 + self.spec.cycles_to_ms(self._setup_cycles)
 
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def kind(self) -> str:
-        return "cpu"
-
     def close(self) -> None:
         self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- device loss (failover support) -------------------------------------------
-
-    def mark_lost(self, reason: str = "device lost") -> None:
-        """Simulate a whole-device crash (a pthread pool's host dying is
-        rarer than a GPU falling off the bus, but the fleet treats both
-        the same): subsequent submits raise
-        :class:`~repro.errors.DeviceLostError` until force-reset."""
-        self._lost_reason = reason
-
-    @property
-    def lost(self) -> bool:
-        return self._lost_reason is not None
-
-    def _check_lost(self) -> None:
-        if self._lost_reason is not None:
-            raise DeviceLostError(f"device {self.name} lost: {self._lost_reason}")
-
-    # -- tenant environments (multi-tenant serving) -------------------------------
-
-    def create_session_env(self, label: str = "session") -> "Environment":
-        """A persistent per-tenant session-root scope (tenant isolation +
-        GC-root registration — see :meth:`Interpreter.create_session_env`)."""
-        return self.interp.create_session_env(label)
-
-    def release_session_env(self, env: "Environment") -> None:
-        self.interp.release_session_env(env)
 
     # -- command execution -------------------------------------------------------------
 
@@ -145,8 +91,6 @@ class CPUDevice:
         sanitize: bool = True,
         env: Optional["Environment"] = None,
     ) -> CommandStats:
-        if self._closed:
-            raise DeviceShutdownError(f"device {self.name} has been shut down")
         self._check_lost()
         if sanitize:
             text = sanitize_input(text)
@@ -178,7 +122,7 @@ class CPUDevice:
             print_ms=to_ms(self.master_cycles(Phase.PRINT)),
             other_ms=self.spec.command_overhead_us / 1000.0,
             transfer_ms=0.0,  # host and device share memory
-            host_ms=_HOST_LOOP_MS,
+            host_ms=HOST_LOOP_MS,
             gc_ms=gc_ms,
             distribute_ms=to_ms(self.engine.distribute_cycles),
             worker_ms=to_ms(self.engine.worker_wall_cycles),
@@ -213,8 +157,6 @@ class CPUDevice:
         rolled back to a per-request watermark — while device-fatal
         errors abort the batch but leave the device usable.
         """
-        if self._closed:
-            raise DeviceShutdownError(f"device {self.name} has been shut down")
         self._check_lost()
         requests = list(requests)
         n = len(requests)
@@ -257,19 +199,13 @@ class CPUDevice:
                     outputs[i] = self.interp.process(
                         SourceBuffer(text), rctx, out, env=env
                     )
-                except LispError as exc:
-                    errors[i] = exc
-                    outputs[i] = f"error: {exc}"
-                except UnbalancedInputError as exc:
+                except (LispError, UnbalancedInputError) as exc:
                     errors[i] = exc
                     outputs[i] = f"error: {exc}"
                 except Exception as exc:
-                    if not is_containable_fault(exc):
-                        raise  # device-fatal: abort the batch
+                    contain_fault(exc, self.interp.arena, checkpoint, rctx)
                     errors[i] = exc
                     outputs[i] = f"error: {exc}"
-                    freed, _ = self.interp.arena.rollback_region(checkpoint)
-                    rctx.charge(Op.NODE_WRITE, freed)
                 nested_wall = self.engine.worker_wall_cycles - nested_wall0
                 for phase in (Phase.PARSE, Phase.EVAL, Phase.PRINT):
                     row = np.asarray(rctx.counts.rows[phase], dtype=np.float64)
@@ -309,7 +245,7 @@ class CPUDevice:
             print_ms=to_ms(sum_phase[Phase.PRINT] * shrink),
             other_ms=self.spec.command_overhead_us / 1000.0,  # ONE wake
             transfer_ms=0.0,
-            host_ms=_HOST_LOOP_MS,
+            host_ms=HOST_LOOP_MS,
             gc_ms=gc_ms,  # ONE collection per batch
             worker_ms=to_ms(wall_cycles),
         )
@@ -342,7 +278,6 @@ class CPUDevice:
                     error=errors[i],
                 )
             )
-        jit1 = self.interp.jit_stats.as_dict()
         return BatchResult(
             items=items,
             times=batch_times,
@@ -352,7 +287,5 @@ class CPUDevice:
             regions_reset=regions_reset,
             major_collections=majors,
             gc_wall_ms=gc_wall_ms,
-            traces_compiled=jit1["traces_compiled"] - jit0["traces_compiled"],
-            trace_hits=jit1["trace_hits"] - jit0["trace_hits"],
-            guard_bails=jit1["guard_bails"] - jit0["guard_bails"],
+            **self._jit_delta(jit0),
         )

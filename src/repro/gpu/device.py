@@ -22,7 +22,6 @@ import numpy as np
 from ..context import CountingContext
 from ..core.interpreter import CommandPlan, Interpreter, InterpreterOptions
 from ..core.printer import Printer
-from ..errors import DeviceLostError, DeviceShutdownError
 from ..gpu.cache import SetAssociativeCache
 from ..gpu.fileio import FileServiceLink, HostFileSystem
 from ..gpu.grid import GridConfig
@@ -37,8 +36,9 @@ from ..gpu.memory import GlobalMemory, OutputBuffer, SourceBuffer
 from ..gpu.postbox import PostboxArray
 from ..gpu.specs import GPUSpec
 from ..core.nodes import NODE_BYTES
-from ..errors import HostProtocolError, LispError, is_containable_fault
+from ..errors import HostProtocolError, LispError
 from ..ops import Op, Phase
+from ..runtime.backend import HOST_LOOP_MS, DeviceBackend, contain_fault
 from ..runtime.batch import BatchItem, BatchRequest, BatchResult
 from ..runtime.fidelity import Fidelity
 from ..timing import CommandStats, PhaseBreakdown
@@ -58,9 +58,6 @@ _DRAM_EXTRA_NS = {
     "volta": 220.0,  # HBM2
 }
 
-#: Host-side work per command (prompt handling, fgets, puts) in ms.
-_HOST_LOOP_MS = 0.001
-
 
 @dataclass
 class GPUDeviceConfig:
@@ -72,10 +69,13 @@ class GPUDeviceConfig:
     interpreter: Optional[InterpreterOptions] = None
 
 
-class GPUDevice:
+class GPUDevice(DeviceBackend):
     """One CuLi instance resident on one simulated GPU."""
 
+    kind = "gpu"
+
     def __init__(self, spec: GPUSpec, config: Optional[GPUDeviceConfig] = None) -> None:
+        super().__init__()
         self.spec = spec
         self.config = config or GPUDeviceConfig()
         self.fidelity = self.config.fidelity
@@ -122,18 +122,7 @@ class GPUDevice:
         self.interp.file_service = self.file_link
         self.master_ctx.set_phase(Phase.EVAL)
 
-        self.commands_executed = 0
-        self._closed = False
-        self._lost_reason: Optional[str] = None
-
     # -- cycle accounting helpers ----------------------------------------------
-
-    def _run_gc(self) -> tuple[int, float, int, int, float]:
-        """End-of-command reclamation charged as modeled device time;
-        see :func:`repro.core.gc.collect_with_accounting`."""
-        from ..core.gc import collect_with_accounting
-
-        return collect_with_accounting(self.interp, self.spec)
 
     def master_cycles(self, phase: Phase) -> float:
         row = np.asarray(self.master_ctx.counts.rows[phase], dtype=np.float64)
@@ -145,6 +134,38 @@ class GPUDevice:
         store = self.spec.costs.cost_of(Op.POSTBOX_WRITE)
         fence = self.spec.costs.cost_of(Op.FENCE)
         return self.grid.n_blocks * store + fence
+
+    def _begin_command(self) -> tuple[int, int]:
+        """Wake the master for one buffer transaction; returns the L2
+        hit and miss counters at its start."""
+        self.master_ctx.reset()
+        self.master_ctx.set_phase(Phase.EVAL)
+        self.engine.begin_command()
+        self.file_link.stats.reset()
+        return self.cache.stats.hits, self.cache.stats.misses
+
+    def _command_times(
+        self, up_ms: float, down_ms: float, gc_ms: float, cache0: tuple[int, int]
+    ) -> PhaseBreakdown:
+        """One buffer transaction's modeled time: the master's phases,
+        the workers' wall time, ONE handshake and ONE collection."""
+        to_ms = self.spec.cycles_to_ms
+        return PhaseBreakdown(
+            parse_ms=to_ms(self.master_cycles(Phase.PARSE)),
+            eval_ms=to_ms(self.master_cycles(Phase.EVAL))
+            + to_ms(self.engine.worker_wall_cycles),
+            print_ms=to_ms(self.master_cycles(Phase.PRINT)),
+            other_ms=self.spec.command_overhead_us / 1000.0,
+            transfer_ms=up_ms + down_ms + self.file_link.stats.transfer_ms,
+            host_ms=HOST_LOOP_MS,
+            gc_ms=gc_ms,
+            distribute_ms=to_ms(self.engine.distribute_cycles),
+            worker_ms=to_ms(self.engine.worker_wall_cycles),
+            collect_ms=to_ms(self.engine.collect_cycles),
+            spin_cycles=self.engine.spin_cycles,
+            cache_hits=self.cache.stats.hits - cache0[0],
+            cache_misses=self.cache.stats.misses - cache0[1],
+        )
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -161,14 +182,6 @@ class GPUDevice:
         stop += self.spec.command_overhead_us / 2000.0  # half a handshake
         return startup + stop
 
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def kind(self) -> str:
-        return "gpu"
-
     def close(self) -> None:
         if self._closed:
             return
@@ -177,38 +190,6 @@ class GPUDevice:
         self.postboxes.deactivate_all(self.master_ctx)
         self.master_ctx.set_phase(Phase.EVAL)
         self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- device loss (failover support) -------------------------------------------
-
-    def mark_lost(self, reason: str = "device lost") -> None:
-        """Simulate a whole-device crash: every subsequent command or
-        batch raises :class:`~repro.errors.DeviceLostError` until the
-        serving layer force-resets the device (replaces it with a fresh
-        one — the crashed arena's contents are unrecoverable)."""
-        self._lost_reason = reason
-
-    @property
-    def lost(self) -> bool:
-        return self._lost_reason is not None
-
-    def _check_lost(self) -> None:
-        if self._lost_reason is not None:
-            raise DeviceLostError(f"device {self.name} lost: {self._lost_reason}")
-
-    # -- tenant environments (multi-tenant serving) -------------------------------
-
-    def create_session_env(self, label: str = "session") -> "Environment":
-        """A persistent per-tenant session-root scope (tenant isolation +
-        GC-root registration — see :meth:`Interpreter.create_session_env`)."""
-        return self.interp.create_session_env(label)
-
-    def release_session_env(self, env: "Environment") -> None:
-        """Drop a tenant scope; its bindings become garbage."""
-        self.interp.release_session_env(env)
 
     # -- command execution ------------------------------------------------------------
 
@@ -224,8 +205,6 @@ class GPUDevice:
         tenant's session environment); None means the global environment,
         i.e. classic single-tenant CuLi.
         """
-        if self._closed:
-            raise DeviceShutdownError(f"device {self.name} has been shut down")
         self._check_lost()
         if sanitize:
             text = sanitize_input(text)
@@ -234,18 +213,11 @@ class GPUDevice:
         up_ms = self.cmdbuf.host_upload(text)
 
         # Device side: wake the master, run parse -> eval -> print.
-        master = self.master_ctx
-        master.reset()
-        master.set_phase(Phase.EVAL)
-        self.engine.begin_command()
-        self.file_link.stats.reset()
-        cache_hits0 = self.cache.stats.hits
-        cache_miss0 = self.cache.stats.misses
-
+        cache0 = self._begin_command()
         source = SourceBuffer(self.cmdbuf.device_read(), base=self.input_region.base)
         out = OutputBuffer(base=self.output_region.base, capacity=self.cmdbuf.capacity)
         try:
-            output = self.interp.process(source, master, out, env=env)
+            output = self.interp.process(source, self.master_ctx, out, env=env)
         except Exception:
             # The device releases the buffer so the REPL stays alive,
             # and reclaims the failed command's partial trees (closing
@@ -258,24 +230,7 @@ class GPUDevice:
         result_text, down_ms = self.cmdbuf.host_download()
 
         freed, gc_ms, _, _, _ = self._run_gc()
-
-        to_ms = self.spec.cycles_to_ms
-        times = PhaseBreakdown(
-            parse_ms=to_ms(self.master_cycles(Phase.PARSE)),
-            eval_ms=to_ms(self.master_cycles(Phase.EVAL))
-            + to_ms(self.engine.worker_wall_cycles),
-            print_ms=to_ms(self.master_cycles(Phase.PRINT)),
-            other_ms=self.spec.command_overhead_us / 1000.0,
-            transfer_ms=up_ms + down_ms + self.file_link.stats.transfer_ms,
-            host_ms=_HOST_LOOP_MS,
-            gc_ms=gc_ms,
-            distribute_ms=to_ms(self.engine.distribute_cycles),
-            worker_ms=to_ms(self.engine.worker_wall_cycles),
-            collect_ms=to_ms(self.engine.collect_cycles),
-            spin_cycles=self.engine.spin_cycles,
-            cache_hits=self.cache.stats.hits - cache_hits0,
-            cache_misses=self.cache.stats.misses - cache_miss0,
-        )
+        times = self._command_times(up_ms, down_ms, gc_ms, cache0)
 
         self.commands_executed += 1
         return CommandStats(
@@ -317,8 +272,6 @@ class GPUDevice:
         transactions (each paying its own upload/download), so callers
         never see a size failure for individually-valid commands.
         """
-        if self._closed:
-            raise DeviceShutdownError(f"device {self.name} has been shut down")
         self._check_lost()
         requests = list(requests)
         if not requests:
@@ -329,22 +282,11 @@ class GPUDevice:
         if len(chunks) > 1:
             merged = BatchResult()
             for chunk in chunks:
-                part = self._submit_batch_txn(
-                    [requests[i] for i in chunk], [texts[i] for i in chunk]
+                merged.absorb(
+                    self._submit_batch_txn(
+                        [requests[i] for i in chunk], [texts[i] for i in chunk]
+                    )
                 )
-                merged.items.extend(part.items)
-                merged.times = merged.times.merged_with(part.times)
-                merged.jobs += part.jobs
-                merged.rounds += part.rounds
-                merged.upload_ms += part.upload_ms
-                merged.download_ms += part.download_ms
-                merged.nodes_freed += part.nodes_freed
-                merged.regions_reset += part.regions_reset
-                merged.major_collections += part.major_collections
-                merged.gc_wall_ms += part.gc_wall_ms
-                merged.traces_compiled += part.traces_compiled
-                merged.trace_hits += part.trace_hits
-                merged.guard_bails += part.guard_bails
             return merged
         return self._submit_batch_txn(requests, texts)
 
@@ -412,13 +354,8 @@ class GPUDevice:
         payload = " ".join(t for i, t in enumerate(texts) if i not in pre_errors)
         up_ms = self.cmdbuf.host_upload(payload)
 
+        cache0 = self._begin_command()
         master = self.master_ctx
-        master.reset()
-        master.set_phase(Phase.EVAL)
-        self.engine.begin_command()
-        self.file_link.stats.reset()
-        cache_hits0 = self.cache.stats.hits
-        cache_miss0 = self.cache.stats.misses
         self.cmdbuf.device_read()  # master wakes once for the whole batch
         jit0 = self.interp.jit_stats.as_dict()
         # One nursery region serves the whole batch transaction: every
@@ -457,14 +394,11 @@ class GPUDevice:
                 except LispError as exc:
                     job.error = exc
                 except Exception as exc:
-                    if not is_containable_fault(exc):
-                        raise
                     # A request whose parse tree alone exhausts the arena
                     # is killed without poisoning its co-tenants; its
                     # partial tree is rolled back so they can allocate.
+                    contain_fault(exc, self.interp.arena, checkpoint, master)
                     job.error = exc
-                    freed, _ = self.interp.arena.rollback_region(checkpoint)
-                    master.charge(Op.NODE_WRITE, freed)
                 parse_cycles[i] = self.master_cycles(Phase.PARSE) - c0
                 jobs.append(job)
 
@@ -506,24 +440,7 @@ class GPUDevice:
         _, down_ms = self.cmdbuf.host_download()
 
         freed, gc_ms, regions_reset, majors, gc_wall_ms = self._run_gc()
-
-        to_ms = self.spec.cycles_to_ms
-        batch_times = PhaseBreakdown(
-            parse_ms=to_ms(self.master_cycles(Phase.PARSE)),
-            eval_ms=to_ms(self.master_cycles(Phase.EVAL))
-            + to_ms(self.engine.worker_wall_cycles),
-            print_ms=to_ms(self.master_cycles(Phase.PRINT)),
-            other_ms=self.spec.command_overhead_us / 1000.0,  # ONE handshake
-            transfer_ms=up_ms + down_ms + self.file_link.stats.transfer_ms,
-            host_ms=_HOST_LOOP_MS,
-            gc_ms=gc_ms,  # ONE collection per batch transaction
-            distribute_ms=to_ms(self.engine.distribute_cycles),
-            worker_ms=to_ms(self.engine.worker_wall_cycles),
-            collect_ms=to_ms(self.engine.collect_cycles),
-            spin_cycles=self.engine.spin_cycles,
-            cache_hits=self.cache.stats.hits - cache_hits0,
-            cache_misses=self.cache.stats.misses - cache_miss0,
-        )
+        batch_times = self._command_times(up_ms, down_ms, gc_ms, cache0)
         self.commands_executed += n
 
         # Shared costs (handshake, transfer, distribute/collect, host
@@ -539,6 +456,7 @@ class GPUDevice:
             spin_cycles=batch_times.spin_cycles,
         ).scaled(1.0 / n)
 
+        to_ms = self.spec.cycles_to_ms
         items: list[BatchItem] = []
         for i, (req, job) in enumerate(zip(requests, jobs)):
             own_eval_ms = to_ms(per_job_cycles.get(id(job), 0.0))
@@ -562,7 +480,6 @@ class GPUDevice:
                     error=job.error,
                 )
             )
-        jit1 = self.interp.jit_stats.as_dict()
         return BatchResult(
             items=items,
             times=batch_times,
@@ -574,7 +491,5 @@ class GPUDevice:
             regions_reset=regions_reset,
             major_collections=majors,
             gc_wall_ms=gc_wall_ms,
-            traces_compiled=jit1["traces_compiled"] - jit0["traces_compiled"],
-            trace_hits=jit1["trace_hits"] - jit0["trace_hits"],
-            guard_bails=jit1["guard_bails"] - jit0["guard_bails"],
+            **self._jit_delta(jit0),
         )

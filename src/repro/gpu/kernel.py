@@ -31,8 +31,9 @@ import numpy as np
 from ..context import CountingContext, ExecContext, NullContext
 from ..core.interpreter import sequential_engine
 from ..core.nodes import Node, NodeType
-from ..errors import LispError, LivelockError, is_containable_fault
+from ..errors import LispError, LivelockError
 from ..ops import Op, Phase
+from ..runtime.backend import contain_fault
 from ..runtime.fidelity import Fidelity, group_rows, task_signature
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -416,17 +417,9 @@ class GPUParallelEngine:
                         job.error = exc
                         job.results = None
                     except Exception as exc:
-                        if not is_containable_fault(exc):
-                            raise  # device-fatal: abort the transaction
-                        # Contained device fault: kill this job only.
-                        # Write-barrier promotions already rescued any
-                        # escaped survivors; everything else the job
-                        # allocated is rolled back so the remaining jobs
-                        # of the batch can reuse the space.
+                        contain_fault(exc, interp.arena, checkpoint, wctx)
                         job.error = exc
                         job.results = None
-                        freed, _ = interp.arena.rollback_region(checkpoint)
-                        wctx.charge(Op.NODE_WRITE, freed)
                     finally:
                         interp.pop_output()
                     wctx.charge(Op.BARRIER)

@@ -27,7 +27,7 @@ to that exact registry builtin when the trace runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.nodes import NodeType
 from ..runtime.parse_cache import TemplateNode
@@ -115,24 +115,28 @@ class _Compiler:
 
     # -- expression compilation ---------------------------------------------------
 
-    def expr(self, t: TemplateNode, tail: tuple = ()) -> int:
+    def expr(self, t: TemplateNode, siblings: Sequence = (),
+             start: int = 0) -> int:
         """Compile one expression; returns the register holding its value.
 
-        ``tail`` is the tuple of ``t``'s following-sibling templates in
+        ``siblings[start:]`` are ``t``'s following-sibling templates in
         its parent form. The tree-walker evaluates a literal or unbound
         symbol to the materialized tree node *itself*, whose ``nxt``
         chain runs through those siblings — so if the value is retained,
-        the siblings are retained too. CONST/LOAD carry the tail so the
-        executor can reproduce that exact reachable shape.
+        the siblings are retained too. CONST/LOAD carry the parent's
+        sibling list, shared by every argument of the form, plus their
+        start index, so the executor can reproduce that exact reachable
+        shape without a per-argument copy of the tail.
         """
         if t.ntype in _SELF_EVALUATING:
             dst = self.reg()
-            self.emit(Instr(TOp.CONST, dst=dst, template=t, tail=tail))
+            self.emit(Instr(TOp.CONST, dst=dst, template=t, siblings=siblings,
+                            start=start))
             return dst
         if t.ntype == NodeType.N_SYMBOL:
             dst = self.reg()
             self.emit(Instr(TOp.LOAD, dst=dst, name=t.sval, sym_id=t.sym_id,
-                            template=t, tail=tail))
+                            template=t, siblings=siblings, start=start))
             return dst
         if t.ntype == NodeType.N_LIST:
             return self._list(t)
@@ -168,7 +172,7 @@ class _Compiler:
                 raise CompileBail("static arity violation")
         slot = self.head_slot(name, head.sym_id, HEAD_CALL)
         arg_regs = tuple(
-            self.expr(arg, tuple(args[i + 1:])) for i, arg in enumerate(args)
+            self.expr(arg, args, i + 1) for i, arg in enumerate(args)
         )
         dst = self.reg()
         self.emit(Instr(TOp.APPLY, dst=dst, head=slot, args=arg_regs))
@@ -200,10 +204,10 @@ class _Compiler:
     def _if(self, args: list[TemplateNode]) -> int:
         if not 2 <= len(args) <= 3:
             raise CompileBail("if arity")
-        cond = self.expr(args[0], tuple(args[1:]))
+        cond = self.expr(args[0], args, 1)
         dst = self.reg()
         jf = self.emit(Instr(TOp.JUMPF, src=cond))
-        then = self.expr(args[1], tuple(args[2:]))
+        then = self.expr(args[1], args, 2)
         self.emit(Instr(TOp.MOV, dst=dst, src=then))
         jend = self.emit(Instr(TOp.JUMP))
         self.instrs[jf].target = len(self.instrs)
@@ -222,7 +226,7 @@ class _Compiler:
             return dst
         dst = -1
         for i, arg in enumerate(args):
-            dst = self.expr(arg, tuple(args[i + 1:]))
+            dst = self.expr(arg, args, i + 1)
         return dst
 
     def _setq(self, args: list[TemplateNode]) -> int:
@@ -233,7 +237,7 @@ class _Compiler:
             target = args[i]
             if target.ntype != NodeType.N_SYMBOL:
                 raise CompileBail("setq target")
-            value = self.expr(args[i + 1], tuple(args[i + 2:]))
+            value = self.expr(args[i + 1], args, i + 2)
             dst = self.reg()
             self.emit(Instr(TOp.SETQ, dst=dst, src=value, name=target.sval,
                             sym_id=target.sym_id))
@@ -246,7 +250,7 @@ class _Compiler:
             return dst
         false_jumps = []
         for i, arg in enumerate(args):
-            value = self.expr(arg, tuple(args[i + 1:]))
+            value = self.expr(arg, args, i + 1)
             self.emit(Instr(TOp.MOV, dst=dst, src=value))
             false_jumps.append(self.emit(Instr(TOp.JUMPF, src=dst)))
         jend = self.emit(Instr(TOp.JUMP))
@@ -264,7 +268,7 @@ class _Compiler:
             return dst
         true_jumps = []
         for i, arg in enumerate(args):
-            value = self.expr(arg, tuple(args[i + 1:]))
+            value = self.expr(arg, args, i + 1)
             self.emit(Instr(TOp.MOV, dst=dst, src=value))
             true_jumps.append(self.emit(Instr(TOp.JUMPT, src=dst)))
         self.emit(Instr(TOp.PUSHNIL, dst=dst))

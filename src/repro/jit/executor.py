@@ -77,16 +77,20 @@ def _materialize_value(cache, ins: Instr, arena, ctx, memo: dict) -> Node:
     barrier ``append_child`` applies), memoized per execution so every
     tree position materializes at most once, keeps retained-heap
     snapshots byte-identical between the tiers.
+
+    A link an earlier instruction already wired ends the walk: that
+    instruction wired the rest of the same sibling list too, so each
+    form's chain is walked once per execution, not once per argument.
     """
     node = cache.materialize_one(ins.template, arena, ctx, memo)
     node.linked = True
     prev = node
-    for sibling in ins.tail:
-        sib = cache.materialize_one(sibling, arena, ctx, memo)
+    siblings = ins.siblings
+    for k in range(ins.start, len(siblings)):
+        sib = cache.materialize_one(siblings[k], arena, ctx, memo)
         sib.linked = True
         if prev.nxt is sib:
-            prev = sib
-            continue  # chain already wired by an earlier instruction
+            break  # the rest of the chain is already wired
         barrier_source = prev.region
         prev.nxt = sib
         if barrier_source == REGION_TENURED and sib.region > REGION_TENURED:

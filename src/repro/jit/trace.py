@@ -19,7 +19,7 @@ the per-node ``eval`` dispatch, not because it stops paying for memory.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..runtime.parse_cache import TemplateNode
 
@@ -78,7 +78,7 @@ class Instr:
     """One flat trace instruction (a plain struct; fields per opcode)."""
 
     __slots__ = ("op", "dst", "src", "name", "sym_id", "template", "head",
-                 "args", "target", "tail")
+                 "args", "target", "siblings", "start")
 
     def __init__(
         self,
@@ -91,7 +91,8 @@ class Instr:
         head: int = -1,
         args: Optional[tuple] = None,
         target: int = -1,
-        tail: tuple = (),
+        siblings: Sequence = (),
+        start: int = 0,
     ) -> None:
         self.op = op
         self.dst = dst
@@ -102,12 +103,15 @@ class Instr:
         self.head = head
         self.args = args
         self.target = target
-        #: CONST/LOAD only: the templates of the node's *following
-        #: siblings* in its parent form. The tree-walker evaluates a
-        #: literal to the tree node itself, which still carries its
-        #: ``nxt`` chain — retaining the value retains the tail — so the
-        #: executor must materialize and link the same chain.
-        self.tail = tail
+        #: CONST/LOAD only: ``siblings[start:]`` are the templates of the
+        #: node's *following siblings* in its parent form (the list is
+        #: the parent's, shared by all its arguments' instructions). The
+        #: tree-walker evaluates a literal to the tree node itself, which
+        #: still carries its ``nxt`` chain — retaining the value retains
+        #: the tail — so the executor must materialize and link the same
+        #: chain.
+        self.siblings = siblings
+        self.start = start
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Instr {self.op.name} dst={self.dst}>"

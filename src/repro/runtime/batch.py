@@ -13,7 +13,7 @@ master's distribute/collect work, which is shared across tenants inside
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from ..core.environment import Environment
@@ -99,6 +99,15 @@ class BatchResult:
     traces_compiled: int = 0
     trace_hits: int = 0
     guard_bails: int = 0
+
+    def absorb(self, part: "BatchResult") -> None:
+        """Fold in the next buffer transaction of a batch too large for
+        one: items append in order and every total adds up."""
+        self.items.extend(part.items)
+        self.times = self.times.merged_with(part.times)
+        for f in fields(self):
+            if f.name not in ("items", "times"):
+                setattr(self, f.name, getattr(self, f.name) + getattr(part, f.name))
 
     @property
     def size(self) -> int:

@@ -581,6 +581,15 @@ class Scheduler:
         return batches
 
 
+#: New faults since the rebalancer last looked that drain a device.
+FAULT_THRESHOLD = 3
+#: How many times the coldest device's backlog the hottest's must exceed
+#: before sessions are shed.
+IMBALANCE_RATIO = 2.0
+#: Sessions moved per round, shared by shedding and leveling.
+MAX_MOVES_PER_ROUND = 2
+
+
 class Rebalancer:
     """Between-round elastic rebalancing: migrate idle sessions off
     overloaded or fault-ridden devices.
@@ -588,7 +597,7 @@ class Rebalancer:
     Two policies run after every distribution round, while no ticket is
     in flight:
 
-    * **Fault drain** — a device that accumulates ``fault_threshold``
+    * **Fault drain** — a device that accumulates ``FAULT_THRESHOLD``
       *new* faults (contained plus batch-fatal, PR 4's classification)
       since this rebalancer last looked is marked draining: every
       session still on it migrates off (their queued tickets travel
@@ -600,8 +609,8 @@ class Rebalancer:
       at fault), but the last healthy device is never drained — the
       pool always serves.
     * **Overload shedding** — when the hottest device's queue backlog
-      exceeds ``imbalance_ratio`` x the coldest's (and by a meaningful
-      margin), up to ``max_moves_per_round`` sessions move from hot to
+      exceeds ``IMBALANCE_RATIO`` x the coldest's (and by a meaningful
+      margin), up to ``MAX_MOVES_PER_ROUND`` sessions move from hot to
       cold. The candidate whose queued-ticket count best fills half the
       gap is chosen, so one move does the most levelling possible
       without overshooting.
@@ -635,23 +644,8 @@ class Rebalancer:
     cost is the host-side backlog comparison.
     """
 
-    def __init__(
-        self,
-        server: "CuLiServer",
-        imbalance_ratio: float = 2.0,
-        max_moves_per_round: int = 2,
-        fault_threshold: int = 3,
-    ) -> None:
-        if imbalance_ratio < 1.0:
-            raise ValueError("imbalance_ratio must be >= 1.0")
-        if max_moves_per_round < 1:
-            raise ValueError("max_moves_per_round must be >= 1")
-        if fault_threshold < 1:
-            raise ValueError("fault_threshold must be >= 1")
+    def __init__(self, server: "CuLiServer") -> None:
         self.server = server
-        self.imbalance_ratio = imbalance_ratio
-        self.max_moves_per_round = max_moves_per_round
-        self.fault_threshold = fault_threshold
         #: Per-device fault count already accounted for: drain decisions
         #: compare against the *delta* since the mark, not the lifetime
         #: counter, so a long-serving device is judged on recent health.
@@ -672,9 +666,9 @@ class Rebalancer:
         """Run the policies once; returns the migrations performed."""
         moves = self._drain_faulty()
         moves.extend(self._shed_overload())
-        if len(moves) < self.max_moves_per_round:
+        if len(moves) < MAX_MOVES_PER_ROUND:
             moves.extend(
-                self._level_sessions(self.max_moves_per_round - len(moves))
+                self._level_sessions(MAX_MOVES_PER_ROUND - len(moves))
             )
         return moves
 
@@ -705,7 +699,7 @@ class Rebalancer:
                 continue
             faults = per_device[pdev.device_id].faults
             mark = self._fault_marks.get(pdev.device_id, 0)
-            if faults - mark < self.fault_threshold:
+            if faults - mark < FAULT_THRESHOLD:
                 continue
             self._fault_marks[pdev.device_id] = faults
             # Nowhere to evacuate to if every other device is draining.
@@ -732,14 +726,14 @@ class Rebalancer:
         """The original count-based shedding (``placement="count"``)."""
         pool = self.server.pool
         moves: list["MigrationRecord"] = []
-        for _ in range(self.max_moves_per_round):
+        for _ in range(MAX_MOVES_PER_ROUND):
             usable = [d for d in pool.devices.values() if not d.draining]
             if len(usable) < 2:
                 break
             hot = max(usable, key=lambda d: d.queue_depth)
             cold = min(usable, key=lambda d: d.queue_depth)
             gap = hot.queue_depth - cold.queue_depth
-            if gap < 2 or hot.queue_depth < self.imbalance_ratio * (
+            if gap < 2 or hot.queue_depth < IMBALANCE_RATIO * (
                 cold.queue_depth + 1
             ):
                 break
@@ -755,7 +749,7 @@ class Rebalancer:
         The gates are the count gates with every ticket weighted by its
         device's per-request cost: the gap must be worth at least two
         hot-device requests, and the hot backlog must exceed
-        ``imbalance_ratio`` x the cold backlog plus one cold request
+        ``IMBALANCE_RATIO`` x the cold backlog plus one cold request
         (the count gate's ``+1`` slack, in cold ms). On a homogeneous
         pool both reduce exactly to the originals. The transfer target
         fills half the gap measured in drain time — moving a ticket off
@@ -785,7 +779,7 @@ class Rebalancer:
         """
         pool = self.server.pool
         moves: list["MigrationRecord"] = []
-        for _ in range(self.max_moves_per_round):
+        for _ in range(MAX_MOVES_PER_ROUND):
             usable = [d for d in pool.devices.values() if not d.draining]
             if len(usable) < 2:
                 break
@@ -795,7 +789,7 @@ class Rebalancer:
             hot_q_ms = hot.queue_backlog_ms
             cold_q_ms = cold.queue_backlog_ms
             gap_ms = hot_q_ms - cold_q_ms
-            if gap_ms < 2 * e_hot or hot_q_ms < self.imbalance_ratio * (
+            if gap_ms < 2 * e_hot or hot_q_ms < IMBALANCE_RATIO * (
                 cold_q_ms + e_cold
             ):
                 break
